@@ -1,8 +1,9 @@
 GO ?= go
 BENCH_JSON ?= BENCH_9.json
 COVER_PROFILE ?= cover.out
+FUZZTIME ?= 10s
 
-.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json chaos cluster cover examples test-fast ci
+.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json chaos cluster cover examples fuzz test-fast ci
 
 build:
 	$(GO) build ./...
@@ -123,6 +124,16 @@ cluster:
 	$(GO) test -race -timeout 10m ./internal/cluster/ ./internal/provenance/
 	$(GO) test -race -timeout 10m -run 'TestCluster|TestChaosCluster|TestMetrics|TestArtifact' ./internal/service/
 	$(GO) test -race -timeout 10m -run 'TestRedirect' ./client/
+
+# Fuzz smoke: runs each Fuzz* target for $(FUZZTIME) beyond its committed
+# seed corpus (testdata/fuzz/<name>/, which plain `make test` already
+# replays). The go tool fuzzes one target per invocation; -parallel 2
+# keeps the worker count small. A failure writes the crashing input
+# under the package's testdata/fuzz/ for commit as a regression seed.
+# CI runs it as a step of the lint job.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryBatch$$' -fuzztime $(FUZZTIME) -parallel 2 ./api/
+	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/tensor/
 
 # Builds and RUNS every example end to end (each takes a second or two;
 # the campaign example boots the HTTP service and drives it through the

@@ -17,6 +17,7 @@
 //	DELETE /v2/sessions/{id}           SessionClosed
 //	POST   /v2/sessions/{id}/query     QueryRequest        -> QueryResponse
 //	POST   /v2/sessions/{id}/queries   QueryBatchRequest   -> QueryBatchResponse
+//	                                   (or the QueryBatchContentType frame)
 //	POST   /v2/campaigns               CampaignRequest     -> CampaignResult
 //	POST   /v2/extract                 ExtractRequest      -> ExtractResult
 //	GET    /v2/experiments             []ExperimentInfo
@@ -60,6 +61,15 @@
 // Error.RedirectTo) tells a client which node owns the key it asked the
 // wrong node for. All additive — a single-node server never redirects,
 // and v2.1 clients may ignore every new endpoint.
+//
+// v2.3 adds a binary request body for POST /v2/sessions/{id}/queries:
+// with Content-Type QueryBatchContentType the rows travel as one
+// CRC-checked frame of little-endian float64s (see frame.go) instead of
+// JSON, which cuts the request to 8 bytes per value and spares both
+// ends the float text codec. VersionInfo.BatchEncodings advertises it,
+// and the SDK uses it whenever the server does. The response stays
+// JSON. All additive — JSON remains the default, and v2.2 clients never
+// send the frame.
 //
 // # Errors
 //

@@ -42,6 +42,11 @@ type VersionInfo struct {
 	// different backends agree on every result only within the fast
 	// backend's documented error bound, not bit-for-bit.
 	TensorBackend string `json:"tensor_backend,omitempty"`
+	// BatchEncodings lists the request content types the server accepts
+	// on POST /v2/sessions/{id}/queries besides JSON (additive in v2.3;
+	// see QueryBatchContentType). The SDK sends the binary frame only to
+	// a server that lists it.
+	BatchEncodings []string `json:"batch_encodings,omitempty"`
 }
 
 // OpenSessionRequest is the POST /v2/sessions body: what one attacker

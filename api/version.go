@@ -36,7 +36,14 @@ const (
 	// the GET /v2/metrics text endpoint, and the cluster/provenance
 	// gauges in Stats. All additive: single-node servers never emit a
 	// redirect, and v2.1 clients may ignore every new field.
-	Minor = 2
+	//
+	// Minor 3 adds the binary QueryBatch request body: a
+	// POST /v2/sessions/{id}/queries request whose Content-Type is
+	// QueryBatchContentType carries its rows as one CRC-checked frame of
+	// little-endian float64s (frame.go), and VersionInfo.BatchEncodings
+	// advertises it. Additive: JSON stays the default request encoding,
+	// the response stays JSON, and a v2.2 client never sends the frame.
+	Minor = 3
 )
 
 // VersionString renders the package's protocol version, e.g. "v2.0".

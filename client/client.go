@@ -208,13 +208,22 @@ func redirectTarget(err error) string {
 	return strings.TrimRight(ae.RedirectTo, "/")
 }
 
-// do performs one JSON round trip. Non-2xx responses decode into the
+// do performs one round trip: a JSON request body, or a pre-encoded
+// *requestFrame, and a JSON response. Non-2xx responses decode into the
 // protocol's *api.Error envelope (synthesizing one with code "internal"
 // when the body is not an envelope, e.g. a plain-text 404 from the
 // mux), so every error this package returns carries a code.
 func (c *Client) do(ctx context.Context, base, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
+	var (
+		body        io.Reader
+		contentType = "application/json"
+	)
+	frame, _ := in.(*requestFrame)
+	switch {
+	case frame != nil:
+		// A pre-encoded binary body: the same bytes on every attempt.
+		body, contentType = frame.body(), api.QueryBatchContentType
+	case in != nil:
 		data, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encoding %s %s request: %w", method, path, err)
@@ -223,10 +232,19 @@ func (c *Client) do(ctx context.Context, base, method, path string, in, out any)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
+		if frame != nil {
+			body.(io.Closer).Close()
+		}
 		return fmt.Errorf("client: building %s %s: %w", method, path, err)
 	}
+	if frame != nil {
+		// What NewRequest derives for a *bytes.Reader body, so the
+		// transport treats both encodings alike.
+		req.ContentLength = int64(len(frame.data))
+		req.GetBody = func() (io.ReadCloser, error) { return frame.body(), nil }
+	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

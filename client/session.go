@@ -74,9 +74,24 @@ func (s *Session) Query(ctx context.Context, input []float64) (api.QueryResponse
 // constant number of array passes. This is the path that makes remote
 // collection scale with the server's coalescer instead of with HTTP
 // latency.
+//
+// The request travels as the binary api.QueryBatchContentType frame
+// when the server advertises it and the batch is non-empty with rows of
+// one length; otherwise as JSON, so the server's validation answers a
+// malformed batch exactly as it always has. Both encodings are exact.
 func (s *Session) QueryBatch(ctx context.Context, inputs [][]float64) (api.QueryBatchResponse, error) {
 	var out api.QueryBatchResponse
-	_, err := s.c.callBase(ctx, s.base, http.MethodPost, api.PathPrefix+"/sessions/"+s.info.ID+"/queries", api.QueryBatchRequest{Inputs: inputs}, &out)
+	if err := s.c.ensureCompatible(ctx); err != nil {
+		return out, err
+	}
+	var in any = api.QueryBatchRequest{Inputs: inputs}
+	if s.c.accepts(api.QueryBatchContentType) {
+		if frame := encodeQueryBatch(inputs); frame != nil {
+			defer frame.release()
+			in = frame
+		}
+	}
+	_, err := s.c.callBase(ctx, s.base, http.MethodPost, api.PathPrefix+"/sessions/"+s.info.ID+"/queries", in, &out)
 	return out, err
 }
 

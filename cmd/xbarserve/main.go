@@ -4,7 +4,8 @@
 // full extraction/evasion campaigns from one shared registry. The wire
 // protocol is the versioned public xbarsec/api package; the supported
 // way to drive a server is the xbarsec/client SDK (curl works too —
-// every body is plain JSON).
+// every body is plain JSON, except the optional binary batched-query
+// frame the SDK sends, see api.QueryBatchContentType).
 //
 // Usage:
 //
@@ -249,7 +250,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer(svc.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -272,6 +273,27 @@ func run(args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, "xbarserve: shutting down")
 	return shutdown(srv, errCh)
+}
+
+// The front door's connection bounds. A client that stalls while
+// sending its headers, or parks an idle keep-alive connection, must not
+// hold a server goroutine forever. There is deliberately no
+// WriteTimeout: it would cut POST /v2/experiments?wait=1, whose response
+// is written only when the job finishes. Request bodies are bounded by
+// size instead (service.maxRequestBody).
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newServer wraps the API handler in an http.Server with the front
+// door's connection bounds.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func shutdown(srv *http.Server, errCh chan error) error {

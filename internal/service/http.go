@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"xbarsec/api"
 	"xbarsec/internal/experiment/engine"
@@ -32,6 +34,9 @@ import (
 //	DELETE /v2/sessions/{id}           close a session
 //	POST   /v2/sessions/{id}/query     one oracle query
 //	POST   /v2/sessions/{id}/queries   a batched slice of oracle queries
+//	                                   (JSON, or the binary frame when the
+//	                                   Content-Type is
+//	                                   api.QueryBatchContentType)
 //	POST   /v2/campaigns               run (or fetch cached) campaign job
 //	POST   /v2/extract                 run (or fetch cached) extraction job
 //	GET    /v2/experiments             registered experiments with axes
@@ -207,6 +212,7 @@ func (s *Service) handleVersion(w http.ResponseWriter, r *http.Request) {
 		Experiments:     len(names),
 		ExperimentsHash: RegistryHash(),
 		TensorBackend:   tensor.ActiveName(),
+		BatchEncodings:  []string{api.QueryBatchContentType},
 	})
 }
 
@@ -313,28 +319,33 @@ func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var req api.QueryBatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if len(req.Inputs) == 0 {
-		writeError(w, badRequestf("empty query batch"))
-		return
-	}
-	if len(req.Inputs) > maxQueryBatch {
-		writeError(w, badRequestf("batch of %d queries exceeds the limit %d", len(req.Inputs), maxQueryBatch))
-		return
+	var (
+		inputs [][]float64
+		frame  queryFrame
+	)
+	if r.Header.Get("Content-Type") == api.QueryBatchContentType {
+		if frame, err = readQueryFrame(r.Body, sess.victim.Inputs()); err != nil {
+			writeError(w, err)
+			return
+		}
+		inputs = frame.rows
+	} else {
+		var req api.QueryBatchRequest
+		if err := decodeJSON(w, r, &req); err != nil {
+			writeError(w, err)
+			return
+		}
+		inputs = req.Inputs
 	}
 	// Validate every input before any budget charge: a malformed batch is
 	// rejected whole, exactly like a malformed single query.
-	for i, u := range req.Inputs {
-		if len(u) != sess.victim.Inputs() {
-			writeError(w, badRequestf("input %d length %d, want %d", i, len(u), sess.victim.Inputs()))
-			return
-		}
+	var resps []oracle.Response
+	if err = checkQueryBatch(inputs, sess.victim.Inputs()); err == nil {
+		resps, err = sess.QueryBatch(inputs)
 	}
-	resps, err := sess.QueryBatch(req.Inputs)
+	// The oracle and coalescer read inputs synchronously and never alias
+	// them into responses, so the frame's buffers can go back now.
+	frame.release()
 	if err != nil && !errors.Is(err, oracle.ErrBudgetExhausted) {
 		writeError(w, err)
 		return
@@ -346,11 +357,11 @@ func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := api.QueryBatchResponse{
-		Results:   make([]api.QueryOutcome, len(req.Inputs)),
+		Results:   make([]api.QueryOutcome, len(inputs)),
 		Queries:   sess.Queries(),
 		Remaining: sess.Remaining(),
 	}
-	for i := range req.Inputs {
+	for i := range inputs {
 		if i < len(resps) {
 			out.Results[i] = api.QueryOutcome{
 				Label: resps[i].Label,
@@ -362,6 +373,98 @@ func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// checkQueryBatch validates a decoded batch against the victim's input
+// dimensionality.
+func checkQueryBatch(inputs [][]float64, dim int) error {
+	if len(inputs) == 0 {
+		return badRequestf("empty query batch")
+	}
+	if len(inputs) > maxQueryBatch {
+		return badRequestf("batch of %d queries exceeds the limit %d", len(inputs), maxQueryBatch)
+	}
+	for i, u := range inputs {
+		if len(u) != dim {
+			return badRequestf("input %d length %d, want %d", i, len(u), dim)
+		}
+	}
+	return nil
+}
+
+// queryFrame is one decoded binary QueryBatch body: its rows view a
+// pooled float slab, decoded from a pooled read buffer.
+type queryFrame struct {
+	buf  *[]byte
+	slab *[]float64
+	rows [][]float64
+}
+
+var (
+	frameBufs  = sync.Pool{New: func() any { return new([]byte) }}
+	frameSlabs = sync.Pool{New: func() any { return new([]float64) }}
+)
+
+// release returns the frame's buffers to their pools; the rows must not
+// be used afterwards. A no-op on the zero frame (a JSON request).
+func (f *queryFrame) release() {
+	if f.buf != nil {
+		frameBufs.Put(f.buf)
+	}
+	if f.slab != nil {
+		frameSlabs.Put(f.slab)
+	}
+	*f = queryFrame{}
+}
+
+// readQueryFrame reads and decodes an api.QueryBatchContentType body.
+// The fixed prefix is checked against the request limits before any
+// buffer is taken, so a hostile length prefix costs nothing; then the
+// frame must end exactly where its prefix says, match its CRC and hold
+// only finite values. Every failure is one typed bad request, returned
+// before the caller charges any budget.
+func readQueryFrame(body io.Reader, dim int) (queryFrame, error) {
+	var prefix [api.QueryBatchHeaderSize]byte
+	if _, err := io.ReadFull(body, prefix[:]); err != nil {
+		return queryFrame{}, badRequestf("truncated query batch frame")
+	}
+	n, rows, cols, err := api.QueryBatchShape(prefix[:])
+	switch {
+	case err != nil:
+		return queryFrame{}, badRequestf("%v", err)
+	case n > maxRequestBody:
+		return queryFrame{}, badRequestf("query batch frame of %d bytes exceeds the limit %d", n, maxRequestBody)
+	case rows > maxQueryBatch:
+		return queryFrame{}, badRequestf("batch of %d queries exceeds the limit %d", rows, maxQueryBatch)
+	case cols != dim:
+		return queryFrame{}, badRequestf("query batch rows of %d values, want %d", cols, dim)
+	}
+	f := queryFrame{buf: frameBufs.Get().(*[]byte), slab: frameSlabs.Get().(*[]float64)}
+	// One byte past the frame: reading it means trailing bytes.
+	buf := *f.buf
+	if cap(buf) < n+1 {
+		buf = make([]byte, n+1)
+		*f.buf = buf
+	}
+	buf = buf[:n+1]
+	copy(buf, prefix[:])
+	got, _ := io.ReadFull(body, buf[len(prefix):])
+	switch got += len(prefix); {
+	case got < n:
+		f.release()
+		return queryFrame{}, badRequestf("truncated query batch frame: %d of %d bytes", got, n)
+	case got > n:
+		f.release()
+		return queryFrame{}, badRequestf("trailing bytes after a %d-byte query batch frame", n)
+	}
+	if cap(*f.slab) < rows*cols {
+		*f.slab = make([]float64, rows*cols)
+	}
+	if f.rows, err = api.DecodeQueryBatch(buf[:n], (*f.slab)[:rows*cols]); err != nil {
+		f.release()
+		return queryFrame{}, badRequestf("%v", err)
+	}
+	return f, nil
 }
 
 func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
