@@ -72,17 +72,19 @@ type CampaignResult = api.CampaignResult
 // across Config.Workers via the deterministic pool. In a cluster the
 // victim's ring owner serves all of its campaigns; other nodes redirect.
 func (s *Service) RunCampaign(spec CampaignSpec) (*CampaignResult, error) {
-	if err := s.routeVictim(spec.Victim); err != nil {
-		return nil, err
-	}
-	return s.runCampaignJob(spec)
+	return s.runCampaignJob(spec, true)
 }
 
-// runCampaignJob is RunCampaign minus ring admission — the journal
-// replay path (drainPendingSync) takes it, because a journaled job is
-// this node's to finish regardless of membership changes across the
-// restart.
-func (s *Service) runCampaignJob(spec CampaignSpec) (*CampaignResult, error) {
+// runCampaignJob prepares a campaign spec and runs it through
+// runSpecJob, after ring admission when route is set. Journal replay
+// (drainPendingSync) passes route=false: a journaled job is this node's
+// to finish regardless of membership changes across the restart.
+func (s *Service) runCampaignJob(spec CampaignSpec, route bool) (*CampaignResult, error) {
+	if route {
+		if err := s.routeVictim(spec.Victim); err != nil {
+			return nil, err
+		}
+	}
 	if s.isClosed() {
 		return nil, ErrServiceClosed
 	}
@@ -102,53 +104,21 @@ func (s *Service) runCampaignJob(spec CampaignSpec) (*CampaignResult, error) {
 	default:
 		return nil, fmt.Errorf("service: unknown disclosure mode %v", spec.Mode)
 	}
-	compute := func() (*CampaignResult, error) {
-		var res *CampaignResult
-		err := s.gate.RunErr(func() error {
-			var err error
-			res, err = s.runCampaign(spec, v)
-			return err
-		})
-		return res, err
-	}
-	// A noisy victim's reads depend on concurrent traffic, so its
-	// results are not functions of the spec — never cache them.
-	if v.Noisy() {
-		res, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		s.campaigns.Add(1)
-		return res, nil
-	}
 	key := spec.key()
-	var fromSpill bool
-	val, cached, err := s.cache.Do(key, func() (any, error) {
-		if res := spillLoad[CampaignResult](s, key); res != nil {
-			fromSpill = true
-			return res, nil
-		}
-		// Journal the launch before computing, exactly like an experiment
-		// job: a crash mid-campaign replays the spec at the next Open
-		// (once the victim registers) instead of losing the work. The key
-		// doubles as the journal id — sync jobs have no poll handle.
-		if err := s.journalLaunch(journalRecord{Op: opLaunch, ID: key, Campaign: &spec}); err != nil {
-			return nil, err
-		}
-		res, err := compute()
-		if err == nil {
-			s.spillArtifact(key, res)
-		}
-		s.journalFinish(key, err)
-		return res, err
+	if v.Noisy() {
+		// A noisy victim's reads depend on concurrent traffic, so its
+		// results are not functions of the spec: run them uncached.
+		key = ""
+	}
+	launch := &journalRecord{Op: opLaunch, ID: key, Campaign: &spec}
+	res, err := runSpecJob(s, key, launch, nil, func() (*CampaignResult, error) {
+		return s.runCampaign(spec, v)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := *(val.(*CampaignResult)) // copy so Cached can differ per caller
-	res.Cached = cached || fromSpill
 	s.campaigns.Add(1)
-	return &res, nil
+	return res, nil
 }
 
 // runCampaign is the deterministic pipeline body.
@@ -282,14 +252,16 @@ func (m probeMeter) Inputs() int                        { return m.c.Inputs() }
 // RunExtract executes (or serves from cache) one extraction job. In a
 // cluster the victim's ring owner serves it; other nodes redirect.
 func (s *Service) RunExtract(spec ExtractSpec) (*ExtractResult, error) {
-	if err := s.routeVictim(spec.Victim); err != nil {
-		return nil, err
-	}
-	return s.runExtractJob(spec)
+	return s.runExtractJob(spec, true)
 }
 
-// runExtractJob is RunExtract minus ring admission (see runCampaignJob).
-func (s *Service) runExtractJob(spec ExtractSpec) (*ExtractResult, error) {
+// runExtractJob is runCampaignJob's extraction twin.
+func (s *Service) runExtractJob(spec ExtractSpec, route bool) (*ExtractResult, error) {
+	if route {
+		if err := s.routeVictim(spec.Victim); err != nil {
+			return nil, err
+		}
+	}
 	if s.isClosed() {
 		return nil, ErrServiceClosed
 	}
@@ -301,50 +273,14 @@ func (s *Service) runExtractJob(spec ExtractSpec) (*ExtractResult, error) {
 	if spec.NoiseStd < 0 {
 		return nil, fmt.Errorf("service: negative probe noise %v", spec.NoiseStd)
 	}
-	compute := func() (*ExtractResult, error) {
-		var res *ExtractResult
-		err := s.gate.RunErr(func() error {
-			var err error
-			res, err = s.runExtract(spec, v)
-			return err
-		})
-		return res, err
-	}
-	if v.Noisy() {
-		// Not a function of the spec (see RunCampaign) — never cached.
-		return compute()
-	}
 	key := extractKey(spec)
-	var fromSpill bool
-	val, cached, err := s.cache.Do(key, func() (any, error) {
-		if res := spillLoad[ExtractResult](s, key); res != nil {
-			fromSpill = true
-			return res, nil
-		}
-		// Same restart-safety contract as campaigns: launch journaled
-		// before compute, completion marked after (see RunCampaign).
-		if err := s.journalLaunch(journalRecord{Op: opLaunch, ID: key, Extract: &spec}); err != nil {
-			return nil, err
-		}
-		res, err := compute()
-		if err == nil {
-			s.spillArtifact(key, res)
-		}
-		s.journalFinish(key, err)
-		return res, err
-	})
-	if err != nil {
-		return nil, err
+	if v.Noisy() {
+		key = "" // not a function of the spec (see runCampaignJob)
 	}
-	res := *(val.(*ExtractResult))
-	// Deep-copy the slices: the cached artifact is shared by every
-	// future caller, so handing out aliases would let one client's
-	// in-place post-processing corrupt everyone else's results — the
-	// same ownership bug class Response.Raw had.
-	res.Signals = append([]float64(nil), res.Signals...)
-	res.Norms = append([]float64(nil), res.Norms...)
-	res.Cached = cached || fromSpill
-	return &res, nil
+	launch := &journalRecord{Op: opLaunch, ID: key, Extract: &spec}
+	return runSpecJob(s, key, launch, nil, func() (*ExtractResult, error) {
+		return s.runExtract(spec, v)
+	})
 }
 
 func (s *Service) runExtract(spec ExtractSpec, v *Victim) (*ExtractResult, error) {

@@ -598,3 +598,134 @@ func TestChaosPanickingJob(t *testing.T) {
 		t.Fatalf("failed_jobs after restart = %d, want 1", got)
 	}
 }
+
+// TestChaosReplayParentJournal pins the journal and spill formats: the
+// state dir under testdata/journal-v2 was written by the protocol-v2.3
+// server and must keep replaying. It holds three experiment jobs (job-1
+// done, job-2 failed by a panic, job-3 launched but never finished), a
+// finished campaign whose artifact is spilled, and one unfinished
+// campaign and extraction.
+func TestChaosReplayParentJournal(t *testing.T) {
+	registerDurabilityExperiments()
+	const fixture = "testdata/journal-v2"
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	// committed reads an artifact's payload exactly as the fixture
+	// stores it: the spill file minus its 32-byte sha256 prefix.
+	committed := func(key string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(fixture, "spill", memo.Addr(key)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b[32:]
+	}
+	s, rec, err := Open(Config{Seed: 11, Workers: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := Recovery{ReplayedJobs: 3, Relaunched: 2, FailedJobs: 1,
+		ReplayedCampaigns: 1, ReplayedExtracts: 1, SpilledArtifacts: 2}
+	if *rec != want {
+		t.Fatalf("recovery = %+v, want %+v", *rec, want)
+	}
+
+	for _, tc := range []struct {
+		id     string
+		status JobStatus
+		cached bool
+	}{
+		{"job-1", JobDone, true},
+		{"job-2", JobFailed, false},
+		{"job-3", JobDone, false},
+	} {
+		job, err := s.ExperimentJobByID(tc.id)
+		if err != nil {
+			t.Fatalf("%s not restored: %v", tc.id, err)
+		}
+		select {
+		case <-job.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("%s never finished after replay", tc.id)
+		}
+		status, res, jerr := job.Snapshot()
+		if status != tc.status {
+			t.Fatalf("%s status = %v (%v), want %v", tc.id, status, jerr, tc.status)
+		}
+		if res != nil && res.Cached != tc.cached {
+			t.Errorf("%s cached = %v, want %v", tc.id, res.Cached, tc.cached)
+		}
+	}
+	// The done job is served from the committed artifact, byte for byte.
+	job, _ := s.ExperimentJobByID("job-1")
+	_, res, _ := job.Snapshot()
+	got := *res
+	got.Cached = false
+	payload, err := json.Marshal(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := specKey(job.Spec()); !bytes.Equal(payload, committed(key)) {
+		t.Fatalf("job-1 served %s, committed artifact is %s", payload, committed(key))
+	}
+
+	// Registering the victim drains the two unfinished sync jobs into
+	// spill (2 committed + job-3 + campaign + extract), and the finished
+	// campaign is served from its committed artifact.
+	if err := s.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for s.Stats().SpilledArtifacts < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed sync jobs never reached spill: %d artifacts", s.Stats().SpilledArtifacts)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	spec := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 3, Queries: 40, Lambda: 0.1}
+	camp, err := s.RunCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !camp.Cached {
+		t.Fatal("finished campaign recomputed instead of served from the committed artifact")
+	}
+	c := *camp
+	c.Cached = false
+	if payload, err := json.Marshal(&c); err != nil || !bytes.Equal(payload, committed(spec.withDefaults().key())) {
+		t.Fatalf("campaign served %s (%v), committed artifact differs", payload, err)
+	}
+}
+
+// TestChaosPanickingSyncJob pins that a synchronous job whose compute
+// panics is journaled failed rather than left launched: the runner hands
+// journalFinish the memo.PanicError the cache recovered, so the next
+// Open has nothing to replay into the same panic.
+func TestChaosPanickingSyncJob(t *testing.T) {
+	dir := t.TempDir()
+	s1, _, err := Open(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 1, Queries: 10}.withDefaults()
+	key := spec.key()
+	_, err = runSpecJob(s1, key, &journalRecord{Op: opLaunch, ID: key, Campaign: &spec}, nil,
+		func() (*CampaignResult, error) { panic("kaboom: injected sync panic") })
+	var pe *memo.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), "injected sync panic") {
+		t.Fatalf("err = %v, want a typed memo.PanicError carrying the panic value", err)
+	}
+	s1.Close()
+
+	s2, rec, err := Open(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec.ReplayedCampaigns != 0 {
+		t.Fatalf("recovery = %+v, want the panicked campaign journaled failed, not replayed", rec)
+	}
+}

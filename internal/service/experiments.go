@@ -255,101 +255,67 @@ type ExperimentResult = api.ExperimentResult
 // Config.MaxConcurrentJobs run at once. In a cluster, the spec's ring
 // owner computes (and serves) it; other nodes answer with a redirect.
 func (s *Service) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error) {
+	return s.runExperimentJob(spec, true)
+}
+
+// prepareExperiment is every experiment entry point's prologue: refuse
+// work on a closed service, normalize the spec, and validate it,
+// returning the registry entry it names.
+func (s *Service) prepareExperiment(spec ExperimentSpec) (ExperimentSpec, engine.Experiment, error) {
 	if s.isClosed() {
-		return nil, ErrServiceClosed
+		return spec, engine.Experiment{}, ErrServiceClosed
 	}
 	spec = specDefaults(spec)
 	exp, err := validateSpec(spec)
+	return spec, exp, err
+}
+
+// runExperimentJob prepares a spec and runs it through runSpecJob,
+// after ring admission when route is set. Journal replay (runJob)
+// passes route=false: a journaled job is this node's to finish
+// regardless of how the membership looked when it was accepted.
+func (s *Service) runExperimentJob(spec ExperimentSpec, route bool) (*ExperimentResult, error) {
+	spec, exp, err := s.prepareExperiment(spec)
 	if err != nil {
 		return nil, err
 	}
+	key := specKey(spec)
 	// Ring admission after validation: a malformed spec is a 400 on
 	// every node, never a redirect to the owner's 400.
-	if err := s.routeKey(specKey(spec)); err != nil {
-		return nil, err
+	if route {
+		if err := s.routeKey(key); err != nil {
+			return nil, err
+		}
 	}
-	return s.runExperimentLocal(spec, exp)
+	return runSpecJob(s, key, nil, s.peerFetchExperiment, func() (*ExperimentResult, error) {
+		return s.computeExperiment(spec, exp)
+	})
 }
 
-// runExperimentReplay is RunExperiment minus ring admission — the path
-// journal replay (runJob at recovery) takes, because a journaled job is
-// this node's to finish regardless of how the membership looked when it
-// was accepted.
-func (s *Service) runExperimentReplay(spec ExperimentSpec) (*ExperimentResult, error) {
-	if s.isClosed() {
-		return nil, ErrServiceClosed
-	}
-	spec = specDefaults(spec)
-	exp, err := validateSpec(spec)
+// computeExperiment runs a validated spec and packs its artifact.
+func (s *Service) computeExperiment(spec ExperimentSpec, exp engine.Experiment) (*ExperimentResult, error) {
+	out, err := runnerFor(exp, spec)(s.options(spec))
 	if err != nil {
 		return nil, err
 	}
-	return s.runExperimentLocal(spec, exp)
-}
-
-// runExperimentLocal computes (or serves) a validated spec on this
-// node, unconditionally.
-func (s *Service) runExperimentLocal(spec ExperimentSpec, exp engine.Experiment) (*ExperimentResult, error) {
-	run := runnerFor(exp, spec)
-	key := specKey(spec)
-	// fromSpill is only written by the one computing flight (cache.Do is
-	// singleflight) and only read after Do returns in that same caller.
-	var fromSpill bool
-	compute := func() (any, error) {
-		// Read-through: a previous process may have finished this exact
-		// spec — serve its verified artifact instead of recomputing.
-		if res := spillLoad[ExperimentResult](s, key); res != nil {
-			fromSpill = true
-			return res, nil
-		}
-		// A peer may already hold this artifact (it owned the key before a
-		// membership change, or served it pre-cluster): fetch-and-verify
-		// beats recomputing, and a failed fetch just falls through.
-		if res := s.peerFetchExperiment(key); res != nil {
-			fromSpill = true
-			return res, nil
-		}
-		var res *ExperimentResult
-		err := s.gate.RunErr(func() error {
-			out, err := run(s.options(spec))
-			if err != nil {
-				return err
-			}
-			var buf bytes.Buffer
-			if err := out.WriteJSON(&buf); err != nil {
-				return err
-			}
-			// Compact to the canonical artifact form: a JSON round trip
-			// through the spill store compacts embedded RawMessage, so
-			// storing compact bytes from the start keeps results
-			// bit-identical whether served from memory, from disk, or
-			// from a post-restart replay.
-			var compact bytes.Buffer
-			if err := json.Compact(&compact, buf.Bytes()); err != nil {
-				return err
-			}
-			res = &ExperimentResult{
-				Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Runs: spec.Runs,
-				Options: spec.Options,
-				Render:  out.Render(),
-				Result:  json.RawMessage(compact.Bytes()),
-			}
-			return nil
-		})
-		if err == nil {
-			// Write-through: completion is durable the moment it exists, so
-			// a crash right after never forces this spec to recompute.
-			s.spillArtifact(key, res)
-		}
-		return res, err
-	}
-	val, cached, err := s.cache.Do(key, compute)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := out.WriteJSON(&buf); err != nil {
 		return nil, err
 	}
-	res := *(val.(*ExperimentResult)) // copy so Cached can differ per caller
-	res.Cached = cached || fromSpill
-	return &res, nil
+	// Compact to the canonical artifact form: a JSON round trip through
+	// the spill store compacts embedded RawMessage, so storing compact
+	// bytes from the start keeps results bit-identical whether served
+	// from memory, from disk, or from a post-restart replay.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		return nil, err
+	}
+	return &ExperimentResult{
+		Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Runs: spec.Runs,
+		Options: spec.Options,
+		Render:  out.Render(),
+		Result:  json.RawMessage(compact.Bytes()),
+	}, nil
 }
 
 // JobStatus is an experiment job's lifecycle state (the wire type).
@@ -403,13 +369,10 @@ func (j *ExperimentJob) Snapshot() (JobStatus, *ExperimentResult, error) {
 // one computation through the artifact cache; each keeps its own job
 // record.
 func (s *Service) LaunchExperiment(spec ExperimentSpec) (*ExperimentJob, error) {
-	if s.isClosed() {
-		return nil, ErrServiceClosed
-	}
-	spec = specDefaults(spec)
 	// Validate before creating any job record, so a malformed spec is an
 	// immediate 400 on the launch path, exactly as on the synchronous one.
-	if _, err := validateSpec(spec); err != nil {
+	spec, _, err := s.prepareExperiment(spec)
+	if err != nil {
 		return nil, err
 	}
 	if err := s.routeKey(specKey(spec)); err != nil {
@@ -446,7 +409,7 @@ func (s *Service) runJob(job *ExperimentJob) {
 					err = fmt.Errorf("service: job runner panicked: %v", r)
 				}
 			}()
-			res, err = s.runExperimentReplay(job.spec)
+			res, err = s.runExperimentJob(job.spec, false)
 		}()
 		job.mu.Lock()
 		job.result, job.err = res, err

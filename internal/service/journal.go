@@ -1,22 +1,23 @@
 package service
 
 // The durability layer: a write-ahead job journal plus the disk spill
-// tier behind the artifact cache. Every accepted experiment job is
-// journaled before its goroutine launches and marked on completion; on
-// startup Open replays the journal, restores every journaled job under
-// its original id, and re-launches the unfinished ones — which is cheap
-// for jobs that had completed, because their artifacts are served from
-// the content-addressed spill store instead of recomputed. The jobs are
-// pure functions of their specs (the repository's core determinism
-// contract), which is what makes "re-launch" a correct recovery
-// strategy: a job interrupted mid-run produces bit-identical results
-// when run again.
+// tier behind the artifact cache, joined into one pipeline by
+// runSpecJob. Every accepted job is journaled before it computes and
+// marked on completion; on startup Open replays the journal, restores
+// every journaled job under its original id, and re-launches the
+// unfinished ones — which is cheap for jobs that had completed, because
+// their artifacts are served from the content-addressed spill store
+// instead of recomputed. The jobs are pure functions of their specs (the
+// repository's core determinism contract), which is what makes
+// "re-launch" a correct recovery strategy: a job interrupted mid-run
+// produces bit-identical results when run again.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"xbarsec/internal/memo"
@@ -238,8 +239,27 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 	}
 
 	// Compact into the next journal generation: one launch record per
-	// restored job plus its completion mark, atomically replacing the
-	// old log. The handle stays open — this is the live journal now.
+	// restored job plus its completion mark, then every unfinished sync
+	// launch — another crash before its re-run completes must still
+	// replay it (finished ones are dropped: the artifact lives in spill
+	// under the same key). The generation atomically replaces the old
+	// log, and its handle stays open — this is the live journal now.
+	var live []journalRecord
+	for _, id := range order {
+		js := states[id]
+		live = append(live, journalRecord{Op: opLaunch, ID: id, Spec: &js.spec})
+		switch {
+		case js.failed:
+			live = append(live, journalRecord{Op: opFailed, ID: id, Err: js.errMsg})
+		case js.done:
+			live = append(live, journalRecord{Op: opDone, ID: id})
+		}
+	}
+	for _, id := range syncOrder {
+		if ss := syncStates[id]; !ss.finished {
+			live = append(live, ss.launch)
+		}
+	}
 	aw, err := wal.CreateAtomic(fsys, jpath, wal.Options{
 		Fsync:    cfg.JournalFsync,
 		MaxBytes: cfg.maxJournalBytes(),
@@ -248,50 +268,22 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 		s.Close()
 		return nil, nil, err
 	}
-	writeRec := func(rec journalRecord) error {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		return aw.Append(payload)
-	}
-	for _, id := range order {
-		js := states[id]
-		if err := writeRec(journalRecord{Op: opLaunch, ID: id, Spec: &js.spec}); err != nil {
-			_ = aw.Abort()
-			s.Close()
-			return nil, nil, fmt.Errorf("service: compacting journal: %w", err)
-		}
-		switch {
-		case js.failed:
-			err = writeRec(journalRecord{Op: opFailed, ID: id, Err: js.errMsg})
-		case js.done:
-			err = writeRec(journalRecord{Op: opDone, ID: id})
-		}
-		if err != nil {
-			_ = aw.Abort()
-			s.Close()
-			return nil, nil, fmt.Errorf("service: compacting journal: %w", err)
+	jn := &jobJournal{w: aw}
+	for _, r := range live {
+		if err = jn.append(r); err != nil {
+			err = fmt.Errorf("service: compacting journal: %w", err)
+			break
 		}
 	}
-	// Unfinished sync launches survive compaction — another crash before
-	// their re-run completes must still replay them. Finished ones are
-	// dropped: the artifact lives in spill under the same key.
-	for _, id := range syncOrder {
-		if ss := syncStates[id]; !ss.finished {
-			if err := writeRec(ss.launch); err != nil {
-				_ = aw.Abort()
-				s.Close()
-				return nil, nil, fmt.Errorf("service: compacting journal: %w", err)
-			}
-		}
+	if err == nil {
+		err = aw.Commit()
 	}
-	if err := aw.Commit(); err != nil {
+	if err != nil {
 		_ = aw.Abort()
 		s.Close()
 		return nil, nil, err
 	}
-	s.journal = &jobJournal{w: aw}
+	s.journal = jn
 
 	// Restore the jobs. Failed ones are restored failed; everything else
 	// — unfinished or done — re-runs through the normal compute path,
@@ -424,4 +416,100 @@ func spillLoad[T any](s *Service, key string) *T {
 		return nil
 	}
 	return &v
+}
+
+// runSpecJob is the one durability pipeline behind every spec-keyed job
+// (campaign, extraction, experiment). Under key it singleflights through
+// the artifact cache; a flight that misses memory tries the spill store,
+// then peer (when non-nil), and only then journals launch (when
+// non-nil), runs compute through the service gate, writes the artifact
+// through to spill, and — whatever the flight's outcome, a recovered
+// panic included — journals launch's completion mark. Every caller gets
+// its own copy of the artifact (ownedCopy). An empty key is the
+// noisy-victim bypass: compute runs through the gate once, uncached,
+// unspilled and unjournaled, because its result is not a function of
+// the spec.
+//
+// Only experiments pass a peer. An experiment is a pure function of its
+// key and the code, and provenance verification pins the code identity;
+// campaign and extraction keys name the victim but not its weights, so
+// a peer's bytes under the same key are not provably what this node
+// would compute.
+func runSpecJob[T any](s *Service, key string, launch *journalRecord, peer func(string) *T, compute func() (*T, error)) (*T, error) {
+	gated := func() (*T, error) {
+		var res *T
+		err := s.gate.RunErr(func() error {
+			var err error
+			res, err = compute()
+			return err
+		})
+		return res, err
+	}
+	if key == "" {
+		return gated()
+	}
+	// Both flags are written only by this caller's own flight (cache.Do
+	// runs compute on the calling goroutine) and read after Do returns.
+	var fromStore, journaled bool
+	val, cached, err := s.cache.Do(key, func() (any, error) {
+		if res := spillLoad[T](s, key); res != nil {
+			fromStore = true
+			return res, nil
+		}
+		if peer != nil {
+			if res := peer(key); res != nil {
+				fromStore = true
+				return res, nil
+			}
+		}
+		if launch != nil {
+			if err := s.journalLaunch(*launch); err != nil {
+				return nil, err
+			}
+			journaled = true
+		}
+		res, err := gated()
+		if err == nil {
+			s.spillArtifact(key, res)
+		}
+		return res, err
+	})
+	if journaled {
+		s.journalFinish(launch.ID, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ownedCopy(val.(*T), cached || fromStore), nil
+}
+
+// ownedCopy is the one ownership rule for artifacts handed out of the
+// cache: the cached value is shared by every future caller, so each
+// caller gets a copy whose slices and options envelope are its own —
+// in-place post-processing by one client must never corrupt another's
+// result — with Cached set for that caller.
+func ownedCopy[T any](shared *T, cached bool) *T {
+	res := *shared
+	switch r := any(&res).(type) {
+	case *CampaignResult:
+		r.Cached = cached
+	case *ExtractResult:
+		r.Signals = slices.Clone(r.Signals)
+		r.Norms = slices.Clone(r.Norms)
+		r.Cached = cached
+	case *ExperimentResult:
+		r.Result = slices.Clone(r.Result)
+		if r.Options != nil {
+			o := *r.Options
+			if o.Fig5 != nil {
+				f := *o.Fig5
+				f.Queries = slices.Clone(f.Queries)
+				f.Lambdas = slices.Clone(f.Lambdas)
+				o.Fig5 = &f
+			}
+			r.Options = &o
+		}
+		r.Cached = cached
+	}
+	return &res
 }

@@ -3,18 +3,19 @@
 // per-attacker sessions with split randomness and atomically enforced
 // query budgets, a per-victim coalescer that merges in-flight queries
 // from all sessions into batched (and, for power queries, fused) array
-// reads, and deterministic campaign/extraction jobs with a singleflight
-// artifact cache. It is the first layer of this repository built to be
-// hit by many clients at once; cmd/xbarserve exposes it over HTTP.
+// reads, and deterministic spec-keyed jobs served through one journaled,
+// singleflight runner (runSpecJob). It is the first layer of this
+// repository built to be hit by many clients at once; cmd/xbarserve
+// exposes it over HTTP.
 //
-// Determinism contract: campaign and extraction jobs are pure functions
-// of their spec (seeded via rng.Split, fanned out on the deterministic
-// pool), so replays are bit-identical at any worker count and specs
-// double as cache keys. Interactive session traffic against noise-free
-// victims is bit-identical to per-call scalar serving regardless of how
-// queries coalesce; only noisy (stateful) arrays make interleaved
-// results depend on arrival order — exactly as the physical hardware
-// would.
+// Determinism contract: jobs are pure functions of their spec (seeded
+// via rng.Split, fanned out on the deterministic pool), so replays are
+// bit-identical at any worker count and specs double as cache keys.
+// Interactive session traffic against noise-free victims is
+// bit-identical to per-call scalar serving regardless of how queries
+// coalesce; only noisy (stateful) arrays make interleaved results (and
+// jobs against them) depend on arrival order — exactly as the physical
+// hardware would.
 package service
 
 import (
@@ -278,9 +279,9 @@ func (s *Service) drainPendingSync(victim string) {
 			// the membership changed across the restart.
 			switch {
 			case rec.Campaign != nil:
-				_, _ = s.runCampaignJob(*rec.Campaign)
+				_, _ = s.runCampaignJob(*rec.Campaign, false)
 			case rec.Extract != nil:
-				_, _ = s.runExtractJob(*rec.Extract)
+				_, _ = s.runExtractJob(*rec.Extract, false)
 			}
 		}
 	}()

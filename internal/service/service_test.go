@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -368,31 +371,57 @@ func TestTrainVictimDeterministic(t *testing.T) {
 	}
 }
 
-func TestExtractResultIsCallerOwned(t *testing.T) {
+// TestResultIsCallerOwned pins the runner's ownership rule: a client
+// post-processing its result in place must not corrupt the cached
+// artifact other clients receive.
+func TestResultIsCallerOwned(t *testing.T) {
+	registerDurabilityExperiments()
 	v := buildTestVictim(t, "m", 12)
 	s := newTestService(t, Config{Seed: 12}, v)
-	first, err := s.RunExtract(ExtractSpec{Victim: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float64(nil), first.Norms...)
-	// A client post-processing its result in place must not corrupt the
-	// cached artifact other clients receive.
-	for i := range first.Norms {
-		first.Norms[i] = -1
-		first.Signals[i] = -1
-	}
-	second, err := s.RunExtract(ExtractSpec{Victim: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Fatal("second extraction must be cached")
-	}
-	for i := range want {
-		if second.Norms[i] != want[i] {
-			t.Fatalf("cached norm[%d] corrupted by caller mutation: %v != %v", i, second.Norms[i], want[i])
-		}
+	for _, tc := range []struct {
+		name     string
+		run      func() (any, error)
+		scribble func(res any)
+	}{
+		{
+			name: "extract",
+			run:  func() (any, error) { return s.RunExtract(ExtractSpec{Victim: "m"}) },
+			scribble: func(res any) {
+				r := res.(*ExtractResult)
+				for i := range r.Norms {
+					r.Norms[i] = -1
+					r.Signals[i] = -1
+				}
+			},
+		},
+		{
+			name: "experiment",
+			run: func() (any, error) {
+				return s.RunExperiment(ExperimentSpec{Name: "svc-test-quick", Seed: 12})
+			},
+			scribble: func(res any) { res.(*ExperimentResult).Result[0] = 'X' },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(first)
+			tc.scribble(first)
+			second, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached := reflect.ValueOf(second).Elem().FieldByName("Cached")
+			if !cached.Bool() {
+				t.Fatal("second run must be cached")
+			}
+			cached.SetBool(false)
+			if got, _ := json.Marshal(second); !bytes.Equal(got, want) {
+				t.Fatalf("cached artifact corrupted by caller mutation:\n%s\nwant\n%s", got, want)
+			}
+		})
 	}
 }
 
