@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryBatch$$' -fuzztime $(FUZZTIME) -parallel 2 ./api/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMembers$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/cluster/
 
 # Builds and RUNS every example end to end (each takes a second or two;
 # the campaign example boots the HTTP service and drives it through the

@@ -492,6 +492,30 @@ func BenchmarkSurrogateTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkSurrogateTrainCampaign measures surrogate training at the
+// shape of one service campaign (a Figure 5 cell): 200 raw-output power
+// queries on a 784-input victim, the default 40 epochs at batch 32, and
+// the power loss on (λ = 0.004).
+func BenchmarkSurrogateTrainCampaign(b *testing.B) {
+	_, hw, ds := benchVictim(b)
+	orc, err := oracle.New(hw, oracle.Config{Mode: oracle.RawOutput, MeasurePower: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs, err := oracle.Collect(orc, ds, 200, rng.New(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := surrogate.DefaultConfig()
+	cfg.Lambda = 0.004
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := surrogate.Train(qs, cfg, rng.New(int64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGemmTB measures the batched forward kernel at the training
 // shape (32-sample mini-batch x 3072 inputs by 10 outputs).
 func BenchmarkGemmTB(b *testing.B) {

@@ -18,6 +18,7 @@ import (
 	"net/url"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // DefaultVNodes is the virtual-node count per member used when a Ring
@@ -162,10 +163,13 @@ func ParseMembers(s string) ([]Member, error) {
 			continue
 		}
 		id, u, ok := strings.Cut(part, "=")
+		// Trailing slashes and spaces go together ("http://h/ /" is
+		// "http://h"), so a parsed list joined back re-parses to itself.
+		u = strings.TrimRightFunc(u, func(r rune) bool { return r == '/' || unicode.IsSpace(r) })
 		if !ok || id == "" || u == "" {
 			return nil, fmt.Errorf("cluster: peer %q is not id=url", part)
 		}
-		ms = append(ms, Member{ID: id, URL: strings.TrimRight(u, "/")})
+		ms = append(ms, Member{ID: id, URL: u})
 	}
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("cluster: empty peer list")

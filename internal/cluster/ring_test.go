@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -185,4 +186,36 @@ func TestParseMembers(t *testing.T) {
 	if _, err := ParseMembers(strings.Repeat(",", 3)); err == nil {
 		t.Error("ParseMembers of only separators succeeded")
 	}
+}
+
+// FuzzParseMembers: ParseMembers never panics, and a member list it
+// accepts that also passes New is in canonical form — joining it back
+// as id=url,... re-parses to the same slice, so a -peers value printed
+// from a running node configures an identical ring.
+func FuzzParseMembers(f *testing.F) {
+	f.Add("a=http://10.0.0.1:8080,b=http://10.0.0.2:8080")
+	f.Add(" a=http://h1:1 , b=http://h2:2/,")
+	f.Add("a=http://x/?k=v")
+	f.Add("a")
+	f.Fuzz(func(t *testing.T, s string) {
+		ms, err := ParseMembers(s)
+		if err != nil {
+			return
+		}
+		if _, err := New(ms, 1, 0); err != nil {
+			return
+		}
+		parts := make([]string, len(ms))
+		for i, m := range ms {
+			parts[i] = m.ID + "=" + m.URL
+		}
+		joined := strings.Join(parts, ",")
+		again, err := ParseMembers(joined)
+		if err != nil {
+			t.Fatalf("ParseMembers(%q) = %+v, but its join %q fails: %v", s, ms, joined, err)
+		}
+		if !slices.Equal(again, ms) {
+			t.Fatalf("ParseMembers(%q) = %+v, but its join %q re-parses to %+v", s, ms, joined, again)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"xbarsec/api"
 	"xbarsec/internal/attack"
@@ -48,6 +49,29 @@ func (c CampaignSpec) withDefaults() CampaignSpec {
 		c.AttackEps = 0.1
 	}
 	return c
+}
+
+// validate rejects a (defaulted) spec the pipeline cannot run as a
+// client error, before any journal record or cache flight exists.
+func (c CampaignSpec) validate() error {
+	if c.Queries <= 0 {
+		return badRequestf("service: campaign query budget %d must be positive", c.Queries)
+	}
+	switch c.Mode {
+	case oracle.LabelOnly, oracle.RawOutput:
+	default:
+		return badRequestf("service: unknown disclosure mode %v", c.Mode)
+	}
+	if math.IsNaN(c.Lambda) || math.IsInf(c.Lambda, 0) || c.Lambda < 0 {
+		return badRequestf("service: campaign lambda %v must be non-negative and finite", c.Lambda)
+	}
+	if math.IsNaN(c.AttackEps) || math.IsInf(c.AttackEps, 0) || c.AttackEps < 0 {
+		return badRequestf("service: campaign attack eps %v must be non-negative and finite", c.AttackEps)
+	}
+	if c.SurrogateEpochs < 0 || c.SurrogateEpochs > maxSurrogateEpochs {
+		return badRequestf("service: campaign surrogate epochs %d outside [0, %d]", c.SurrogateEpochs, maxSurrogateEpochs)
+	}
+	return nil
 }
 
 // key is the artifact-cache identity: every field that influences the
@@ -96,13 +120,8 @@ func (s *Service) runCampaignJob(spec CampaignSpec, route bool) (*CampaignResult
 	if v.train == nil || v.test == nil {
 		return nil, fmt.Errorf("service: victim %q has no data splits for campaigns", v.name)
 	}
-	if spec.Queries <= 0 {
-		return nil, fmt.Errorf("service: campaign query budget %d must be positive", spec.Queries)
-	}
-	switch spec.Mode {
-	case oracle.LabelOnly, oracle.RawOutput:
-	default:
-		return nil, fmt.Errorf("service: unknown disclosure mode %v", spec.Mode)
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
 	key := spec.key()
 	if v.Noisy() {

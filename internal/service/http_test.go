@@ -5,16 +5,20 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"xbarsec/api"
 	"xbarsec/client"
+	"xbarsec/internal/oracle"
+	"xbarsec/internal/wal"
 )
 
 // decodeBody decodes one raw HTTP response body.
@@ -226,6 +230,91 @@ func TestHTTPCampaignAndExtract(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[0], "victim,") || !strings.HasPrefix(lines[1], "mnist-toy,") {
 		t.Fatalf("csv stats = %q", buf.String())
+	}
+}
+
+// TestHTTPCampaignSpecRejections: a campaign spec the pipeline cannot
+// run is a client error — 400 bad_request, decided before the job is
+// journaled or counted — not a 500 from inside surrogate training or a
+// job that holds a slot for hours.
+func TestHTTPCampaignSpecRejections(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: dir, JournalFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.Register(buildTestVictim(t, "mnist-toy", 11)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	journaled := func() int {
+		n := 0
+		if _, err := wal.Replay(wal.OSFS{}, filepath.Join(dir, "jobs.wal"), func([]byte) error {
+			n++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	base := journaled()
+	const valid = `"victim":"mnist-toy","mode":"raw-output","seed":5,"queries":20,"surrogate_epochs":2`
+	tests := []struct {
+		name  string
+		field string // appended to the valid spec; a repeated key overrides
+	}{
+		{"negative lambda", `"lambda":-0.1`},
+		{"negative attack eps", `"attack_eps":-0.5`},
+		{"negative epochs", `"surrogate_epochs":-5`},
+		{"epochs above bound", fmt.Sprintf(`"surrogate_epochs":%d`, maxSurrogateEpochs+1)},
+		{"epochs far above bound", `"surrogate_epochs":1000000000`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+api.PathPrefix+"/campaigns", "application/json",
+				strings.NewReader("{"+valid+","+tt.field+"}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e api.Error
+			if err := decodeBody(resp, &e); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeBadRequest {
+				t.Fatalf("status %d envelope %+v, want 400 %s", resp.StatusCode, e, api.CodeBadRequest)
+			}
+		})
+	}
+	// JSON cannot spell NaN or ±Inf, but Go callers of RunCampaign can
+	// pass them and must get the same typed refusal.
+	for _, spec := range []CampaignSpec{
+		{Lambda: math.NaN()}, {Lambda: math.Inf(1)}, {AttackEps: math.NaN()}, {AttackEps: math.Inf(1)},
+	} {
+		spec.Victim, spec.Mode, spec.Seed, spec.Queries = "mnist-toy", oracle.RawOutput, 5, 20
+		if _, err := s.RunCampaign(spec); err == nil || apiError(err).Code != api.CodeBadRequest {
+			t.Errorf("lambda %v eps %v: err = %v, want %s", spec.Lambda, spec.AttackEps, err, api.CodeBadRequest)
+		}
+	}
+	if n := journaled(); n != base {
+		t.Fatalf("rejected specs wrote %d journal records", n-base)
+	}
+	if got := s.Stats().Campaigns; got != 0 {
+		t.Fatalf("rejected specs counted as %d campaigns", got)
+	}
+	// Control: the valid spec itself is journaled (launch + done) and
+	// counted, so the two checks above can see a leak.
+	resp, err := http.Post(ts.URL+api.PathPrefix+"/campaigns", "application/json", strings.NewReader("{"+valid+"}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid spec status %d", resp.StatusCode)
+	}
+	if n := journaled(); n != base+2 || s.Stats().Campaigns != 1 {
+		t.Fatalf("valid spec: %d journal records, %d campaigns; want 2 and 1", n-base, s.Stats().Campaigns)
 	}
 }
 

@@ -21,6 +21,7 @@ package surrogate
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"xbarsec/internal/linalg"
 	"xbarsec/internal/nn"
@@ -72,37 +73,44 @@ func Train(qs *oracle.QuerySet, cfg Config, src *rng.Source) (*Model, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("surrogate: epochs %d must be positive", cfg.Epochs)
 	}
-	if cfg.LearningRate <= 0 {
-		return nil, fmt.Errorf("surrogate: learning rate %v must be positive", cfg.LearningRate)
+	if !finite(cfg.LearningRate) || cfg.LearningRate <= 0 {
+		return nil, fmt.Errorf("surrogate: learning rate %v must be positive and finite", cfg.LearningRate)
 	}
-	if cfg.Momentum < 0 || cfg.Momentum >= 1 {
+	if math.IsNaN(cfg.Momentum) || cfg.Momentum < 0 || cfg.Momentum >= 1 {
 		return nil, fmt.Errorf("surrogate: momentum %v out of [0,1)", cfg.Momentum)
 	}
-	if cfg.Lambda < 0 {
-		return nil, fmt.Errorf("surrogate: negative power weight %v", cfg.Lambda)
+	if !finite(cfg.Lambda) || cfg.Lambda < 0 {
+		return nil, fmt.Errorf("surrogate: power weight %v must be non-negative and finite", cfg.Lambda)
 	}
-	usePower := cfg.Lambda > 0 && qs.P != nil
 	if cfg.Lambda > 0 && qs.P == nil {
 		return nil, errors.New("surrogate: lambda > 0 but query set has no power data")
 	}
 
-	q, n, m := qs.Len(), qs.U.Cols(), qs.Y.Cols()
-	net, err := nn.NewNetwork(m, n, nn.ActLinear, nn.LossMSE)
+	net, err := nn.NewNetwork(qs.Y.Cols(), qs.U.Cols(), nn.ActLinear, nn.LossMSE)
 	if err != nil {
 		return nil, err
 	}
 	net.InitXavier(src.Split("init"))
+	fit(net, qs, cfg, src.Split("sgd"))
+	return &Model{Net: net}, nil
+}
 
-	// The power targets are expected in the paper's normalized
-	// (weight-unit) convention — oracle.Collect delivers them that way —
-	// so the surrogate's feature Σ_j u_j ‖Ŵ_:,j‖₁ is directly comparable
-	// and Eq. (9) needs no calibration parameter.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// fit runs cfg.Epochs of mini-batch SGD with momentum on net's weights,
+// drawing each epoch's sample order from sgd. cfg is already validated.
+//
+// The power targets are expected in the paper's normalized (weight-unit)
+// convention — oracle.Collect delivers them that way — so the
+// surrogate's feature Σ_j u_j ‖Ŵ_:,j‖₁ is directly comparable and Eq. (9)
+// needs no calibration parameter.
+func fit(net *nn.Network, qs *oracle.QuerySet, cfg Config, sgd *rng.Source) {
+	usePower := cfg.Lambda > 0 && qs.P != nil
+	q, n, m := qs.Len(), qs.U.Cols(), qs.Y.Cols()
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = 32
 	}
-	sgd := src.Split("sgd")
 	velocity := tensor.New(m, n)
 	grad := tensor.New(m, n)
 	ws := newTrainWorkspace(batch, q, n, m, usePower)
@@ -118,26 +126,27 @@ func Train(qs *oracle.QuerySet, cfg Config, src *rng.Source) (*Model, error) {
 			tensor.SGDMomentumStep(net.W, velocity, grad, cfg.Momentum, -cfg.LearningRate*scale, false, 0)
 		}
 	}
-	return &Model{Net: net}, nil
 }
 
 // trainViews is one set of mini-batch workspaces: gathered query inputs u
-// and oracle outputs y, pre-activations s, and output-MSE deltas d.
+// and oracle outputs y, pre-activations s, output-MSE deltas d and, when
+// the power loss is active, the per-sample power-gradient rows cu.
 type trainViews struct {
-	rows       int
-	u, y, s, d *tensor.Matrix
+	rows           int
+	u, y, s, d, cu *tensor.Matrix
 }
 
 // trainWorkspace owns the reusable surrogate-training buffers. As in nn,
 // an epoch sees at most two mini-batch sizes, so both view sets alias one
 // allocation and the steady-state step allocates nothing. The power-term
-// buffers (current column 1-norms, per-sample coeff·u products, and the
-// sign matrix of W) are only present when the power loss is active.
+// buffers (current column 1-norms, the sign matrix of W, the cu rows and
+// one gathered column of d) are only present when the power loss is
+// active.
 type trainWorkspace struct {
 	full, rem trainViews
 	colNorms  []float64      // ‖W_:,j‖₁, refreshed per mini-batch
-	cu        []float64      // coeff · u for the current sample
 	sgn       *tensor.Matrix // sign(w_ij), refreshed per mini-batch
+	dcol      []float64      // d[·][i] for the gradient row being built
 }
 
 func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
@@ -151,6 +160,9 @@ func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
 		s:    tensor.New(batch, m),
 		d:    tensor.New(batch, m),
 	}
+	if usePower {
+		full.cu = tensor.New(batch, n)
+	}
 	ws := &trainWorkspace{full: full}
 	if rem := total % batch; rem != 0 {
 		ws.rem = trainViews{
@@ -160,11 +172,14 @@ func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
 			s:    full.s.RowSpan(0, rem),
 			d:    full.d.RowSpan(0, rem),
 		}
+		if usePower {
+			ws.rem.cu = full.cu.RowSpan(0, rem)
+		}
 	}
 	if usePower {
 		ws.colNorms = make([]float64, n)
-		ws.cu = make([]float64, n)
 		ws.sgn = tensor.New(m, n)
+		ws.dcol = make([]float64, batch)
 	}
 	return ws
 }
@@ -183,16 +198,17 @@ func (w *trainWorkspace) views(rows int) *trainViews {
 // (overwritten). The forward pass runs as one matrix-matrix product for
 // the whole mini-batch. Without the power term the gradient is a single
 // batch contraction (GemmTA). With it, each sample contributes two
-// updates to every gradient element — the output-MSE term, then the
-// power term — and the original loop applied them per sample in exactly
-// that order, so the power path keeps a per-sample accumulation (the
-// batched forward still applies); it is restructured branch-free: the
-// sign tests on w_ij move into a per-mini-batch sign matrix and the
-// per-element coeff·u_j product is hoisted to one vector per sample.
-// Multiplying by a ±1 sign and adding (rather than branching on +=/-=)
-// and adding a ±0 term where the old loop skipped are both bit-neutral,
-// so results stay bit-identical to the per-sample reference loop (pinned
-// by TestTrainMatchesPerSampleReference in this package).
+// updates to every gradient element — the output-MSE term d_b[i]·u_b[j],
+// then the power term sign(w_ij)·coeff_b·u_b[j] — and the per-sample
+// reference loop applied them in exactly that order, sample by sample.
+// step keeps that per-element order but not the loop structure: the
+// per-sample work (coeff_b and the cu_b = coeff_b·u_b rows) is done once
+// per mini-batch, and powerGrad then builds each gradient element in a
+// register over the samples (see there). Multiplying by a ±1 sign and
+// adding (rather than branching on +=/-=) and adding a ±0 term where the
+// old loop skipped are both bit-neutral, so results stay bit-identical
+// to the per-sample reference loop (pinned by
+// TestTrainMatchesPerSampleReference in this package).
 func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, idxs []int, v *trainViews, grad *tensor.Matrix, usePower bool) {
 	m := net.Outputs()
 	for bi, idx := range idxs {
@@ -212,7 +228,6 @@ func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, 
 		tensor.GemmTA(grad, v.d, v.u)
 		return
 	}
-	grad.Fill(0)
 	net.W.ColAbsSumsInto(w.colNorms)
 	sgnData, wData := w.sgn.Data(), net.W.Data()
 	for k, wk := range wData {
@@ -226,30 +241,72 @@ func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, 
 		}
 	}
 	for bi, idx := range idxs {
-		u := v.u.Row(bi)
-		d := v.d.Row(bi)
-		for i, di := range d {
-			if di == 0 {
-				continue
-			}
-			row := grad.Row(i)
-			for j, uj := range u {
-				row[j] += di * uj
-			}
-		}
 		// Power term: e = p̂(u) - p, p̂(u) = Σ_j u_j ‖W_:,j‖₁;
 		// ∂p̂/∂w_ij = u_j·sign(w_ij).
+		u, cu := v.u.Row(bi), v.cu.Row(bi)
 		e := tensor.Dot(u, w.colNorms) - qs.P[idx]
 		coeff := cfg.Lambda * 2 * e
 		for j, uj := range u {
-			w.cu[j] = coeff * uj
+			cu[j] = coeff * uj
 		}
-		for i := 0; i < m; i++ {
-			srow := w.sgn.Row(i)
-			grow := grad.Row(i)
-			for j, cj := range w.cu {
-				grow[j] += srow[j] * cj
+	}
+	powerGrad(grad, w.sgn, v, w.dcol[:v.rows])
+}
+
+// powerGrad writes the summed mini-batch gradient with the power term
+// into grad: for every element, over the samples b in order,
+//
+//	g += d_b[i]·u_b[j]   (skipped when d_b[i] == 0)
+//	g += sgn_ij·cu_b[j]
+//
+// starting from +0 — the per-sample reference loop's exact sequence of
+// IEEE operations for that element, so the result is bit-identical to
+// it. The loop is register-blocked instead: four adjacent elements of a
+// gradient row accumulate in registers across the whole mini-batch and
+// are stored once, where the reference made two read-modify-write passes
+// over the whole gradient per sample. dcol holds column i of v.d while
+// row i is built.
+//
+//xbar:hotpath
+func powerGrad(grad, sgn *tensor.Matrix, v *trainViews, dcol []float64) {
+	n := grad.Cols()
+	uData, cuData := v.u.Data(), v.cu.Data()
+	for i := 0; i < grad.Rows(); i++ {
+		for b := range dcol {
+			dcol[b] = v.d.At(b, i)
+		}
+		srow, grow := sgn.Row(i), grad.Row(i)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			s0, s1, s2, s3 := srow[j], srow[j+1], srow[j+2], srow[j+3]
+			var g0, g1, g2, g3 float64
+			for b, db := range dcol {
+				o := b*n + j
+				if db != 0 {
+					u := uData[o : o+4 : o+4]
+					g0 += db * u[0]
+					g1 += db * u[1]
+					g2 += db * u[2]
+					g3 += db * u[3]
+				}
+				cu := cuData[o : o+4 : o+4]
+				g0 += s0 * cu[0]
+				g1 += s1 * cu[1]
+				g2 += s2 * cu[2]
+				g3 += s3 * cu[3]
 			}
+			grow[j], grow[j+1], grow[j+2], grow[j+3] = g0, g1, g2, g3
+		}
+		for ; j < n; j++ {
+			sj := srow[j]
+			var g float64
+			for b, db := range dcol {
+				if db != 0 {
+					g += db * uData[b*n+j]
+				}
+				g += sj * cuData[b*n+j]
+			}
+			grow[j] = g
 		}
 	}
 }

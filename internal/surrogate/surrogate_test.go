@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"math"
 	"testing"
 	"xbarsec/internal/stats"
 
@@ -65,6 +66,14 @@ func TestTrainValidation(t *testing.T) {
 		{"zero lr", Config{Epochs: 1}},
 		{"bad momentum", Config{Epochs: 1, LearningRate: 0.1, Momentum: 1}},
 		{"negative lambda", Config{Epochs: 1, LearningRate: 0.1, Lambda: -0.1}},
+		// Non-finite hyper-parameters pass every ordered comparison (NaN)
+		// or the sign checks (+Inf) and would train NaN weights, or train
+		// silently without the power term.
+		{"NaN lambda", Config{Epochs: 1, LearningRate: 0.1, Lambda: math.NaN()}},
+		{"+Inf lambda", Config{Epochs: 1, LearningRate: 0.1, Lambda: math.Inf(1)}},
+		{"NaN lr", Config{Epochs: 1, LearningRate: math.NaN()}},
+		{"+Inf lr", Config{Epochs: 1, LearningRate: math.Inf(1)}},
+		{"NaN momentum", Config{Epochs: 1, LearningRate: 0.1, Momentum: math.NaN()}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
