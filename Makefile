@@ -114,15 +114,15 @@ chaos:
 	$(GO) test -race -timeout 10m -run 'TestChaos' ./internal/service/
 	$(GO) test -race -timeout 10m -run 'TestRetry|TestWaitJob|TestBackoff' ./client/
 
-# Multi-node suite under the race detector: the ring and provenance
-# packages in full, the two-in-process-node service tests (redirect
-# end-to-end bit-identity, session pinning, peer fetch with Merkle
-# verification, metrics) including the chaos variant that kills the
-# owning node mid-job, and the SDK redirect-following tests. CI runs it
-# as its own job.
+# Multi-node suite under the race detector: the ring package in full,
+# the peer-proof verifier's link-by-link tests (TestVerify*), the
+# two-in-process-node service tests (redirect end-to-end bit-identity,
+# session pinning, peer fetch with Merkle verification, metrics)
+# including the chaos variant that kills the owning node mid-job, and
+# the SDK redirect-following tests. CI runs it as its own job.
 cluster:
-	$(GO) test -race -timeout 10m ./internal/cluster/ ./internal/provenance/
-	$(GO) test -race -timeout 10m -run 'TestCluster|TestChaosCluster|TestMetrics|TestArtifact' ./internal/service/
+	$(GO) test -race -timeout 10m ./internal/cluster/
+	$(GO) test -race -timeout 10m -run 'TestCluster|TestChaosCluster|TestMetrics|TestArtifact|TestVerify' ./internal/service/
 	$(GO) test -race -timeout 10m -run 'TestRedirect' ./client/
 
 # Fuzz smoke: runs each Fuzz* target for $(FUZZTIME) beyond its committed
@@ -136,6 +136,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMembers$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpillRecord$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/memo/
 
 # Builds and RUNS every example end to end (each takes a second or two;
 # the campaign example boots the HTTP service and drives it through the

@@ -404,8 +404,9 @@ type Stats struct {
 	PeerFetches       int64 `json:"peer_fetches,omitempty"`
 	PeerFetchVerified int64 `json:"peer_fetch_verified,omitempty"`
 	PeerFetchRejected int64 `json:"peer_fetch_rejected,omitempty"`
-	// ProvenanceRecords counts Merkle provenance records stored alongside
-	// spilled artifacts (additive in v2.2; 0 without a data directory).
+	// ProvenanceRecords counts spilled artifacts whose file carries the
+	// preimages of their Merkle provenance chain, i.e. those servable by
+	// address (additive in v2.2; 0 without a data directory).
 	ProvenanceRecords int64 `json:"provenance_records,omitempty"`
 }
 

@@ -16,13 +16,15 @@ import (
 	"xbarsec/internal/wal"
 )
 
+const testCode = "registry:deadbeef|tensor:reference"
+
 func TestSpillPutGetRoundTrip(t *testing.T) {
 	s, err := memo.OpenSpill(wal.OSFS{}, filepath.Join(t.TempDir(), "spill"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("artifact"), 100)
-	if err := s.Put("experiment|fig3|1|0.5|8", payload); err != nil {
+	if err := s.Put("experiment|fig3|1|0.5|8", testCode, payload); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := s.Get("experiment|fig3|1|0.5|8")
@@ -35,9 +37,121 @@ func TestSpillPutGetRoundTrip(t *testing.T) {
 	if _, ok, _ := s.Get("experiment|fig3|2|0.5|8"); ok {
 		t.Fatal("absent key reported present")
 	}
+	// By address the file yields the whole record: the proof preimages
+	// travel with the payload.
+	rec, ok, err := s.GetAddr(memo.Addr("experiment|fig3|1|0.5|8"))
+	if err != nil || !ok || rec.Key != "experiment|fig3|1|0.5|8" || rec.Code != testCode || !bytes.Equal(rec.Payload, payload) {
+		t.Fatalf("GetAddr = %q/%q ok=%v err=%v", rec.Key, rec.Code, ok, err)
+	}
 	st := s.Stats()
-	if st.Artifacts != 1 || st.Bytes != int64(len(payload)) || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+	if st.Artifacts != 1 || st.Records != 1 || st.Bytes != int64(len(payload)) || st.Hits != 2 || st.Misses != 1 || st.Puts != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// legacyFile is the layout spill files had before they carried their
+// key and code: [sha256(payload)][payload].
+func legacyFile(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(sum[:], payload...)
+}
+
+// TestSpillLegacyLayout pins the read path for files written before the
+// record layout: served by key, inventoried but not counted as records,
+// and upgraded in place only when the caller's check vouches for the
+// payload.
+func TestSpillLegacyLayout(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const key = "experiment|legacy|1|1|0"
+	payload := []byte(`{"render":"legacy"}`)
+	path := filepath.Join(dir, memo.Addr(key))
+	if err := os.WriteFile(path, legacyFile(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := memo.OpenSpill(wal.OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Artifacts != 1 || st.Records != 0 || st.Bytes != int64(len(payload)) {
+		t.Fatalf("legacy inventory = %+v", st)
+	}
+	if got, ok, err := s.Get(key); err != nil || !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("legacy Get = %q ok=%v err=%v", got, ok, err)
+	}
+	if rec, ok, err := s.GetAddr(memo.Addr(key)); err != nil || !ok || rec.Key != "" || rec.Code != "" {
+		t.Fatalf("legacy GetAddr = %+v ok=%v err=%v, want a payload without preimages", rec, ok, err)
+	}
+	// A rejecting check and an absent key leave the store alone.
+	reject := func([]byte) error { return errors.New("not vouched for") }
+	if err := s.Upgrade(key, testCode, reject); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Upgrade("experiment|absent", testCode, func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Records != 0 || st.Artifacts != 1 {
+		t.Fatalf("stats after no-op upgrades = %+v", st)
+	}
+	var checked []byte
+	if err := s.Upgrade(key, testCode, func(p []byte) error { checked = p; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(checked, payload) {
+		t.Fatalf("check saw %q, want the legacy payload", checked)
+	}
+	rec, ok, err := s.GetAddr(memo.Addr(key))
+	if err != nil || !ok || rec.Key != key || rec.Code != testCode || !bytes.Equal(rec.Payload, payload) {
+		t.Fatalf("upgraded record = %q/%q/%q ok=%v err=%v", rec.Key, rec.Code, rec.Payload, ok, err)
+	}
+	// Upgrading a current-layout file is a no-op, even with another code.
+	if err := s.Upgrade(key, "other", func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := memo.OpenSpill(wal.OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Artifacts != 1 || st.Records != 1 || st.Bytes != int64(len(payload)) {
+		t.Fatalf("reopened after upgrade = %+v", st)
+	}
+	if rec, _, _ := s2.GetAddr(memo.Addr(key)); rec.Code != testCode {
+		t.Fatalf("second upgrade overwrote the code: %q", rec.Code)
+	}
+}
+
+// TestSpillRejectsMisfiledRecord: a well-formed record filed under an
+// address its key does not hash to is corrupt, however intact its bytes.
+func TestSpillRejectsMisfiledRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	s, err := memo.OpenSpill(wal.OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("key-a", testCode, []byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, memo.Addr("key-a")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, memo.Addr("key-b")), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := memo.OpenSpill(wal.OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s2.Get("key-b"); ok || err != nil {
+		t.Fatalf("misfiled record served: %q ok=%v err=%v", got, ok, err)
+	}
+	if _, ok, _ := s2.GetAddr(memo.Addr("key-b")); ok {
+		t.Fatal("misfiled record served by address")
+	}
+	if st := s2.Stats(); st.Corrupt != 1 || st.Artifacts != 1 || st.Records != 1 || st.Bytes != int64(len("alpha")) {
+		t.Fatalf("stats after quarantine = %+v", st)
 	}
 }
 
@@ -50,10 +164,10 @@ func TestSpillSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("key-a", []byte("alpha")); err != nil {
+	if err := s.Put("key-a", testCode, []byte("alpha")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("key-b", []byte("beta-beta")); err != nil {
+	if err := s.Put("key-b", testCode, []byte("beta-beta")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,7 +176,7 @@ func TestSpillSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s2.Stats()
-	if st.Artifacts != 2 || st.Bytes != int64(len("alpha")+len("beta-beta")) {
+	if st.Artifacts != 2 || st.Records != 2 || st.Bytes != int64(len("alpha")+len("beta-beta")) {
 		t.Fatalf("reopened inventory = %+v, want 2 artifacts, %d bytes", st, len("alpha")+len("beta-beta"))
 	}
 	got, ok, err := s2.Get("key-a")
@@ -82,7 +196,7 @@ func TestSpillQuarantine(t *testing.T) {
 	}
 	mangle := func(t *testing.T, key string, f func([]byte) []byte) {
 		t.Helper()
-		if err := s.Put(key, []byte("precious-artifact-bytes")); err != nil {
+		if err := s.Put(key, testCode, []byte("precious-artifact-bytes")); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256([]byte(key))
@@ -113,7 +227,7 @@ func TestSpillQuarantine(t *testing.T) {
 			t.Fatalf("%s: corrupt artifact served on second read", key)
 		}
 	}
-	if st := s.Stats(); st.Corrupt != 3 || st.Artifacts != 0 {
+	if st := s.Stats(); st.Corrupt != 3 || st.Artifacts != 0 || st.Records != 0 {
 		t.Fatalf("stats after quarantine = %+v, want Corrupt=3 Artifacts=0", st)
 	}
 

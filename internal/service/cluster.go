@@ -21,15 +21,17 @@ package service
 //
 // Before computing a missing artifact, a node asks its peers for it by
 // content address and accepts the bytes only if the Merkle provenance
-// chain (internal/provenance) verifies against the spec key and code
+// chain (api.ArtifactProof) verifies against the spec key and code
 // identity this node would itself have used — so a node never serves
-// peer bytes it could not have produced.
+// peer bytes it could not have produced. An accepted artifact is
+// spilled like a local one, with this node's spec key and code identity.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -38,7 +40,6 @@ import (
 	"xbarsec/api"
 	"xbarsec/internal/cluster"
 	"xbarsec/internal/memo"
-	"xbarsec/internal/provenance"
 	"xbarsec/internal/tensor"
 )
 
@@ -52,9 +53,14 @@ type ClusterConfig struct {
 	Ring *cluster.Ring
 }
 
-// peerFetchTimeout bounds one artifact/proof fetch against a peer; a
-// slow or dead peer degrades to local recompute, never a hung job.
-const peerFetchTimeout = 30 * time.Second
+// Peer fetch bounds: a dead or hung peer (it accepts TCP but never
+// answers) degrades to local recompute within seconds. The whole-request
+// bound is only a backstop against a peer that trickles its body.
+const (
+	peerDialTimeout    = time.Second
+	peerHeaderTimeout  = 2 * time.Second
+	peerRequestTimeout = 30 * time.Second
+)
 
 // maxPeerArtifactBytes bounds what a peer response may make this node
 // buffer — the same cap the HTTP layer puts on request bodies.
@@ -86,10 +92,13 @@ func (s *Service) initCluster(cc *ClusterConfig) {
 	if !ok {
 		panic(fmt.Sprintf("service: cluster node id %q is not in the ring membership", cc.NodeID))
 	}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DialContext = (&net.Dialer{Timeout: peerDialTimeout}).DialContext
+	t.ResponseHeaderTimeout = peerHeaderTimeout
 	c := &clusterNode{
 		self: self,
 		ring: cc.Ring,
-		hc:   &http.Client{Timeout: peerFetchTimeout},
+		hc:   &http.Client{Transport: t, Timeout: peerRequestTimeout},
 	}
 	for _, m := range cc.Ring.Members() {
 		if m.ID != self.ID {
@@ -150,13 +159,27 @@ func codeIdentity() string {
 	return "registry:" + RegistryHash() + "|tensor:" + tensor.ActiveName()
 }
 
+// verifyPeerProof accepts a peer's proof iff its chain binds the
+// payload AND its leaf preimages are the spec key and code identity
+// this node would itself have used: a proof valid for another spec or
+// another build of the code is rejected.
+func verifyPeerProof(proof api.ArtifactProof, specKey, code string, payload []byte) error {
+	if proof.SpecKey != specKey {
+		return fmt.Errorf("provenance: record is for spec key %q, want %q", proof.SpecKey, specKey)
+	}
+	if proof.Code != code {
+		return fmt.Errorf("provenance: record computed by %q, want %q", proof.Code, code)
+	}
+	return proof.Verify(payload)
+}
+
 // peerFetchExperiment tries to serve a missing experiment artifact
 // from a peer instead of recomputing: fetch payload + provenance chain
 // by content address, verify the chain against the spec key and code
-// identity this node would have used, and persist the verified bytes
-// locally (spill + record) so the artifact is served and re-proved
-// from here on. Returns nil — degrade to local compute — on any
-// failure: peers down, artifact unknown, or verification rejected.
+// identity this node would have used, and spill the verified bytes
+// with that key and code so the artifact is served and proven from
+// here on. Returns nil — degrade to local compute — on any failure:
+// peers down, artifact unknown, or verification rejected.
 func (s *Service) peerFetchExperiment(key string) *ExperimentResult {
 	c := s.cluster
 	if c == nil || len(c.peers) == 0 {
@@ -172,7 +195,7 @@ func (s *Service) peerFetchExperiment(key string) *ExperimentResult {
 			// failure, just a miss.
 			continue
 		}
-		if err := provenance.Verify(*proof, key, code, art.Payload); err != nil {
+		if err := verifyPeerProof(*proof, key, code, art.Payload); err != nil {
 			c.peerRejected.Add(1)
 			continue
 		}
@@ -183,9 +206,9 @@ func (s *Service) peerFetchExperiment(key string) *ExperimentResult {
 		}
 		c.peerVerified.Add(1)
 		// The verified payload spills verbatim — byte-identical on every
-		// node that holds it — with a freshly derived record.
-		if s.spill != nil && s.spill.Put(key, art.Payload) == nil && s.prov != nil {
-			_ = s.prov.Put(provenance.New(key, code, art.Payload))
+		// node that holds it — and so does the proof derived from it.
+		if s.spill != nil {
+			_ = s.spill.Put(key, code, art.Payload)
 		}
 		return &res
 	}
@@ -219,14 +242,14 @@ func (c *clusterNode) getJSON(url string, v any) error {
 }
 
 // ErrArtifactUnknown indicates no provable artifact at the requested
-// content address on this node — absent, unproven (no provenance
-// record), or failing verification. The wire code is unknown_artifact.
+// content address on this node — absent, unproven (a legacy spill file
+// without its spec key and code), or failing verification. The wire
+// code is unknown_artifact.
 var ErrArtifactUnknown = errors.New("service: unknown artifact")
 
 // Artifact serves one spilled artifact by content address — only after
-// its provenance chain verifies against the stored payload, so a
-// corrupt record or payload is a 404, never wrong bytes with a proof
-// that does not bind.
+// its file verifies, so a corrupt file is a 404, never wrong bytes
+// with a proof that does not bind.
 func (s *Service) Artifact(id string) (*api.Artifact, error) {
 	payload, _, err := s.artifactAt(id)
 	if err != nil {
@@ -237,35 +260,31 @@ func (s *Service) Artifact(id string) (*api.Artifact, error) {
 
 // ArtifactProof serves one artifact's Merkle provenance chain.
 func (s *Service) ArtifactProof(id string) (*api.ArtifactProof, error) {
-	_, rec, err := s.artifactAt(id)
+	_, proof, err := s.artifactAt(id)
 	if err != nil {
 		return nil, err
 	}
-	return &rec, nil
+	return &proof, nil
 }
 
-// artifactAt loads and verifies (payload, record) at a content
-// address.
-func (s *Service) artifactAt(id string) ([]byte, provenance.Record, error) {
-	var zero provenance.Record
+// artifactAt loads the spill file at a content address and derives its
+// proof from the spec key and code the file carries; the read checked
+// the file's hash and that its key hashes to id.
+func (s *Service) artifactAt(id string) ([]byte, api.ArtifactProof, error) {
 	if !memo.ValidAddr(id) {
-		return nil, zero, badRequestf("artifact id %q is not a content address", id)
+		return nil, api.ArtifactProof{}, badRequestf("artifact id %q is not a content address", id)
 	}
-	if s.spill == nil || s.prov == nil {
-		return nil, zero, fmt.Errorf("service: artifact %s (no artifact store): %w", id, ErrArtifactUnknown)
+	if s.spill == nil {
+		return nil, api.ArtifactProof{}, fmt.Errorf("service: artifact %s (no artifact store): %w", id, ErrArtifactUnknown)
 	}
-	payload, ok, err := s.spill.GetAddr(id)
+	rec, ok, err := s.spill.GetAddr(id)
 	if err != nil || !ok {
-		return nil, zero, fmt.Errorf("service: artifact %s: %w", id, ErrArtifactUnknown)
+		return nil, api.ArtifactProof{}, fmt.Errorf("service: artifact %s: %w", id, ErrArtifactUnknown)
 	}
-	rec, ok, err := s.prov.Get(id)
-	if err != nil || !ok {
-		return nil, zero, fmt.Errorf("service: artifact %s has no provenance record: %w", id, ErrArtifactUnknown)
+	if rec.Key == "" {
+		return nil, api.ArtifactProof{}, fmt.Errorf("service: artifact %s has no provenance record: %w", id, ErrArtifactUnknown)
 	}
-	if err := rec.Verify(payload); err != nil {
-		return nil, zero, fmt.Errorf("service: artifact %s fails verification (%v): %w", id, err, ErrArtifactUnknown)
-	}
-	return payload, rec, nil
+	return rec.Payload, api.BuildProof(rec.Key, rec.Code, rec.Payload), nil
 }
 
 // ClusterInfo snapshots the node's membership (the GET /v2/cluster

@@ -29,7 +29,6 @@ import (
 	"xbarsec/internal/experiment/engine"
 	"xbarsec/internal/faultinject"
 	"xbarsec/internal/memo"
-	"xbarsec/internal/provenance"
 	"xbarsec/internal/wal"
 )
 
@@ -251,7 +250,7 @@ func TestClusterPeerFetchVerified(t *testing.T) {
 	id := memo.Addr(key)
 
 	// Node a computed the artifact while it ran solo (before the cluster
-	// grew): payload spilled, provenance record alongside.
+	// grew): payload spilled with its spec key and code identity.
 	dirA, dirB := t.TempDir(), t.TempDir()
 	solo, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: dirA})
 	if err != nil {
@@ -357,13 +356,13 @@ func TestClusterPeerFetchRejectsBadProofs(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		proof   provenance.Record
+		proof   api.ArtifactProof
 		payload []byte
 	}{
-		{"wrong spec key", provenance.New("experiment|other|1|1|0", code, payload), payload},
-		{"wrong code", provenance.New(key, "registry:0000|tensor:ref", payload), payload},
-		{"tampered payload", provenance.New(key, code, payload), tampered},
-		{"unparseable payload", provenance.New(key, code, notAResult), notAResult},
+		{"wrong spec key", api.BuildProof("experiment|other|1|1|0", code, payload), payload},
+		{"wrong code", api.BuildProof(key, "registry:0000|tensor:ref", payload), payload},
+		{"tampered payload", api.BuildProof(key, code, payload), tampered},
+		{"unparseable payload", api.BuildProof(key, code, notAResult), notAResult},
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.name, " ", "-"), func(t *testing.T) {
@@ -679,7 +678,7 @@ func TestChaosClusterKillOwnerMidJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replayed artifact not servable: %v", err)
 	}
-	if err := provenance.Verify(prec, key, codeIdentity(), payload); err != nil {
+	if err := verifyPeerProof(prec, key, codeIdentity(), payload); err != nil {
 		t.Fatalf("replayed artifact's chain rejected: %v", err)
 	}
 	// ...and over the wire, through the client-side verifier.
@@ -690,5 +689,102 @@ func TestChaosClusterKillOwnerMidJob(t *testing.T) {
 	}
 	if _, _, err := c.VerifiedArtifact(context.Background(), id); err != nil {
 		t.Fatalf("wire-verified fetch of the replayed artifact: %v", err)
+	}
+}
+
+// The peer-proof verifier, link by link: the chain accepts exactly
+// what was built and nothing else.
+const (
+	proofTestKey  = "experiment|fig4|7|0.01|1|tb:fast"
+	proofTestCode = "registry:deadbeef|tensor:fast"
+)
+
+var proofTestPayload = []byte(`{"name":"fig4","seed":7,"render":"ok"}`)
+
+func TestVerifyAcceptsOwnChain(t *testing.T) {
+	rec := api.BuildProof(proofTestKey, proofTestCode, proofTestPayload)
+	if err := verifyPeerProof(rec, proofTestKey, proofTestCode, proofTestPayload); err != nil {
+		t.Fatalf("fresh chain rejected: %v", err)
+	}
+	if rec.ID != api.ArtifactID(proofTestKey) || len(rec.Root) != 64 {
+		t.Fatalf("chain shape = %+v", rec)
+	}
+	// The four hashes are pairwise distinct — domain separation works.
+	seen := map[string]bool{rec.SpecHash: true}
+	for _, h := range []string{rec.CodeHash, rec.ResultHash, rec.Root} {
+		if seen[h] {
+			t.Fatalf("hash collision across chain links: %+v", rec)
+		}
+		seen[h] = true
+	}
+}
+
+// A tampered payload fails at the result link.
+func TestVerifyRejectsTamperedPayload(t *testing.T) {
+	rec := api.BuildProof(proofTestKey, proofTestCode, proofTestPayload)
+	bad := append([]byte(nil), proofTestPayload...)
+	bad[len(bad)-2] ^= 0x01
+	err := verifyPeerProof(rec, proofTestKey, proofTestCode, bad)
+	if err == nil {
+		t.Fatal("tampered payload accepted")
+	}
+	if !strings.Contains(err.Error(), "result hash") {
+		t.Fatalf("tampered payload failed at the wrong link: %v", err)
+	}
+}
+
+// A proof transplanted onto a different spec fails — both when the
+// verifier expects a different key and when the chain's own spec link
+// was forged.
+func TestVerifyRejectsWrongSpecHash(t *testing.T) {
+	rec := api.BuildProof(proofTestKey, proofTestCode, proofTestPayload)
+	if err := verifyPeerProof(rec, "experiment|fig5|7|0.01|1", proofTestCode, proofTestPayload); err == nil {
+		t.Fatal("proof for another spec key accepted")
+	}
+	forged := rec
+	forged.SpecHash = strings.Repeat("ab", 32)
+	err := verifyPeerProof(forged, proofTestKey, proofTestCode, proofTestPayload)
+	if err == nil {
+		t.Fatal("forged spec hash accepted")
+	}
+	if !strings.Contains(err.Error(), "spec hash") {
+		t.Fatalf("forged spec hash failed at the wrong link: %v", err)
+	}
+	// Forging the preimage instead of the hash trips the id/address check.
+	forged = rec
+	forged.SpecKey = "experiment|fig5|7|0.01|1"
+	if err := verifyPeerProof(forged, "experiment|fig5|7|0.01|1", proofTestCode, proofTestPayload); err == nil {
+		t.Fatal("re-keyed proof accepted under its forged key")
+	}
+}
+
+// A result computed by different code — other registry digest, other
+// tensor backend — fails at the code link.
+func TestVerifyRejectsWrongCodeHash(t *testing.T) {
+	rec := api.BuildProof(proofTestKey, proofTestCode, proofTestPayload)
+	if err := verifyPeerProof(rec, proofTestKey, "registry:deadbeef|tensor:reference", proofTestPayload); err == nil {
+		t.Fatal("proof from another code identity accepted")
+	}
+	forged := rec
+	forged.CodeHash = strings.Repeat("cd", 32)
+	err := verifyPeerProof(forged, proofTestKey, proofTestCode, proofTestPayload)
+	if err == nil {
+		t.Fatal("forged code hash accepted")
+	}
+	if !strings.Contains(err.Error(), "code hash") {
+		t.Fatalf("forged code hash failed at the wrong link: %v", err)
+	}
+}
+
+// Forging the root itself is caught by the final binding check.
+func TestVerifyRejectsForgedRoot(t *testing.T) {
+	rec := api.BuildProof(proofTestKey, proofTestCode, proofTestPayload)
+	rec.Root = strings.Repeat("00", 32)
+	err := verifyPeerProof(rec, proofTestKey, proofTestCode, proofTestPayload)
+	if err == nil {
+		t.Fatal("forged root accepted")
+	}
+	if !strings.Contains(err.Error(), "root") {
+		t.Fatalf("forged root failed at the wrong link: %v", err)
 	}
 }

@@ -10,10 +10,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,6 +27,7 @@ import (
 	"time"
 
 	"xbarsec/api"
+	"xbarsec/client"
 	"xbarsec/internal/experiment/engine"
 	"xbarsec/internal/faultinject"
 	"xbarsec/internal/memo"
@@ -698,6 +701,272 @@ func TestChaosReplayParentJournal(t *testing.T) {
 	if payload, err := json.Marshal(&c); err != nil || !bytes.Equal(payload, committed(spec.withDefaults().key())) {
 		t.Fatalf("campaign served %s (%v), committed artifact differs", payload, err)
 	}
+}
+
+// artifactFaultFS fails, once, the nth mutating operation — a
+// write-mode OpenFile, a Write, a Sync or a Rename — on a file directly
+// under a state dir's spill/ or prov/ directory: the writes that
+// persist an artifact and its provenance.
+type artifactFaultFS struct {
+	wal.FS
+	mu     sync.Mutex
+	n      int
+	failed string // the operation that failed, once it has
+}
+
+func (f *artifactFaultFS) fault(op, path string) error {
+	if d := filepath.Base(filepath.Dir(path)); d != "spill" && d != "prov" {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n--; f.n != 0 {
+		return nil
+	}
+	f.failed = op + " " + filepath.Base(filepath.Dir(path)) + "/" + filepath.Base(path)
+	return fmt.Errorf("injected %s failure", op)
+}
+
+func (f *artifactFaultFS) failedOp() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.failed
+}
+
+func (f *artifactFaultFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	if flag&(os.O_WRONLY|os.O_RDWR) == 0 {
+		return f.FS.OpenFile(name, flag, perm)
+	}
+	if err := f.fault("create", name); err != nil {
+		return nil, err
+	}
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{File: file, fs: f, name: name}, nil
+}
+
+func (f *artifactFaultFS) Rename(oldpath, newpath string) error {
+	if err := f.fault("rename", newpath); err != nil {
+		return err
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+type faultFile struct {
+	wal.File
+	fs   *artifactFaultFS
+	name string
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	if err := f.fs.fault("write", f.name); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultFile) Sync() error {
+	if err := f.fs.fault("sync", f.name); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestChaosSpillWriteFault pins the crash window a one-file artifact
+// record closes. Whichever single write of a spill fails — create,
+// write, sync or rename, of any file the spill makes — the artifact
+// after a restart is either absent and recomputed, or servable with a
+// proof the client-side verifier accepts. It is never present but
+// unprovable, which is what a spill split across a payload file and a
+// provenance file left behind when the second file's write failed.
+func TestChaosSpillWriteFault(t *testing.T) {
+	registerDurabilityExperiments()
+	spec := ExperimentSpec{Name: "svc-test-quick", Seed: 42}
+	id := memo.Addr(specKey(specDefaults(spec)))
+	// Eight operations cover two tmp+rename writes; one write needs four.
+	for n := 1; n <= 8; n++ {
+		t.Run(fmt.Sprintf("op-%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			fsys := &artifactFaultFS{FS: wal.OSFS{}, n: n}
+			s1, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: dir, FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s1.RunExperiment(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1.Close()
+
+			s2, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			ts := httptest.NewServer(s2.Handler())
+			defer ts.Close()
+			c, err := client.New(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, verr := c.VerifiedArtifact(context.Background(), id)
+			if verr == nil {
+				return // servable, and the proof binds
+			}
+			if api.CodeOf(verr) != api.CodeUnknownArtifact {
+				t.Fatalf("artifact fetch after a failed %q = %v, want served or unknown_artifact", fsys.failedOp(), verr)
+			}
+			res, err := s2.RunExperiment(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached {
+				t.Fatalf("after a failed %q the artifact is served from spill but cannot be proven by address", fsys.failedOp())
+			}
+			if res.Render != want.Render || !bytes.Equal(res.Result, want.Result) {
+				t.Fatal("recomputed result differs from the first run")
+			}
+		})
+	}
+}
+
+// TestChaosReplayParentProvenance pins the migration from the two-file
+// artifact record. The state dir under testdata/prov-v2 was written by
+// the protocol-v2.3 server, whose spill files held only
+// [sha256][payload] and whose provenance chains lived beside them in
+// prov/<addr>.json; it holds one spilled experiment artifact and its
+// record. Open folds the record into the spill file: the artifact is
+// then served by address, byte-identical, under exactly the committed
+// proof, locally and over the wire; prov/ is gone; and the record count
+// is what it was. The fold is idempotent — a record left behind by a
+// crash after its fold landed is simply removed — and a record that
+// does not verify is dropped without making its artifact provable.
+func TestChaosReplayParentProvenance(t *testing.T) {
+	registerDurabilityExperiments()
+	const fixture = "testdata/prov-v2"
+	spec := ExperimentSpec{Name: "svc-test-quick", Seed: 23}
+	key := specKey(specDefaults(spec))
+	id := memo.Addr(key)
+	spilled, err := os.ReadFile(filepath.Join(fixture, "spill", id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := spilled[32:]
+	recordPath := filepath.Join("prov", id+".json")
+	rawRecord, err := os.ReadFile(filepath.Join(fixture, recordPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed api.ArtifactProof
+	if err := json.Unmarshal(rawRecord, &committed); err != nil {
+		t.Fatal(err)
+	}
+	if committed.SpecKey != key {
+		t.Fatalf("fixture record is for %q, want %q", committed.SpecKey, key)
+	}
+	open := func(t *testing.T, dir string) *Service {
+		t.Helper()
+		s, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "prov")); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("prov/ survived Open: %v", err)
+		}
+		return s
+	}
+	copyFixture := func(t *testing.T) string {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	// served checks the artifact by address, in process and through the
+	// SDK's verifying fetch, and by key.
+	served := func(t *testing.T, s *Service) {
+		t.Helper()
+		if got := s.Stats().ProvenanceRecords; got != 1 {
+			t.Fatalf("provenance_records = %d, want the 1 the fixture held", got)
+		}
+		got, proof, err := s.artifactAt(id)
+		if err != nil {
+			t.Fatalf("migrated artifact not servable: %v", err)
+		}
+		if !bytes.Equal(got, payload) || proof != committed {
+			t.Fatalf("served %s under %+v, want the committed payload and proof", got, proof)
+		}
+		if err := proof.Verify(got); err != nil {
+			t.Fatalf("served proof does not verify: %v", err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		c, err := client.New(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, wire, err := c.VerifiedArtifact(context.Background(), id)
+		if err != nil {
+			t.Fatalf("wire-verified fetch of the migrated artifact: %v", err)
+		}
+		if !bytes.Equal(art.Payload, payload) || *wire != committed {
+			t.Fatal("wire artifact or proof differs from the committed ones")
+		}
+		res, err := s.RunExperiment(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Cached {
+			t.Fatal("migrated artifact recomputed instead of served from spill")
+		}
+	}
+
+	dir := copyFixture(t)
+	s := open(t, dir)
+	served(t, s)
+	s.Close()
+	// A crash between the fold and the record's removal leaves both; the
+	// next Open only removes the record.
+	if err := os.MkdirAll(filepath.Join(dir, "prov"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, recordPath), rawRecord, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = open(t, dir)
+	served(t, s)
+	s.Close()
+
+	t.Run("unverifiable-record", func(t *testing.T) {
+		dir := copyFixture(t)
+		forged := committed
+		forged.Code = "registry:0000|tensor:reference"
+		b, err := json.Marshal(forged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, recordPath), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := open(t, dir)
+		defer s.Close()
+		if got := s.Stats().ProvenanceRecords; got != 0 {
+			t.Fatalf("provenance_records = %d, want 0", got)
+		}
+		if _, _, err := s.artifactAt(id); !errors.Is(err, ErrArtifactUnknown) {
+			t.Fatalf("artifact with a forged record = %v, want unknown", err)
+		}
+		res, err := s.RunExperiment(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Cached {
+			t.Fatal("legacy artifact no longer served by key")
+		}
+	})
 }
 
 // TestChaosPanickingSyncJob pins that a synchronous job whose compute

@@ -16,12 +16,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
 
+	"xbarsec/api"
 	"xbarsec/internal/memo"
-	"xbarsec/internal/provenance"
 	"xbarsec/internal/wal"
 )
 
@@ -153,10 +156,7 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Provenance records live next to the artifacts they describe; the
-	// same durable-mode switch governs both.
-	prov, err := provenance.OpenStore(fsys, filepath.Join(cfg.StateDir, "prov"))
-	if err != nil {
+	if err := foldProvenance(fsys, filepath.Join(cfg.StateDir, "prov"), spill); err != nil {
 		return nil, nil, err
 	}
 
@@ -225,7 +225,6 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 	s := New(cfg)
 	s.fsys = fsys
 	s.spill = spill
-	s.prov = prov
 	// Evicted artifacts leave memory but stay servable from disk; write-
 	// through at compute time already persisted most, so this mainly
 	// catches artifacts computed before the spill dir had space.
@@ -380,7 +379,8 @@ func (s *Service) journalFinish(id string, jobErr error) {
 
 // spillArtifact persists one artifact to the spill store, best-effort:
 // a full disk degrades the server to memory-only caching rather than
-// failing the computation that produced the artifact.
+// failing the computation that produced the artifact. The file carries
+// the code identity beside the key, so it proves itself to peers.
 func (s *Service) spillArtifact(key string, val any) {
 	if s.spill == nil {
 		return
@@ -389,15 +389,42 @@ func (s *Service) spillArtifact(key string, val any) {
 	if err != nil {
 		return
 	}
-	if s.spill.Put(key, payload) != nil {
-		return
+	_ = s.spill.Put(key, codeIdentity(), payload)
+}
+
+// foldProvenance migrates a state dir from releases that kept each
+// artifact's provenance chain in a second file, prov/<addr>.json: a
+// record that verifies against the legacy spill file at its address is
+// folded into it (SpillStore.Upgrade), and any record is deleted only
+// once that is done, so a crash leaves a state the next Open finishes.
+func foldProvenance(fsys wal.FS, dir string, spill *memo.SpillStore) error {
+	ents, err := fsys.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	if s.prov != nil {
-		// The record is a pure function of (key, code identity, payload):
-		// losing it (full disk, crash) only disables serving this artifact
-		// to peers until the next spill re-derives it, never correctness.
-		_ = s.prov.Put(provenance.New(key, codeIdentity(), payload))
+	if err != nil {
+		return fmt.Errorf("service: scanning provenance dir %s: %w", dir, err)
 	}
+	for _, ent := range ents {
+		path := filepath.Join(dir, ent.Name())
+		f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+		if err != nil {
+			continue
+		}
+		data, err := io.ReadAll(f)
+		f.Close()
+		if err != nil {
+			continue
+		}
+		var proof api.ArtifactProof
+		if json.Unmarshal(data, &proof) == nil && ent.Name() == proof.ID+".json" &&
+			spill.Upgrade(proof.SpecKey, proof.Code, proof.Verify) != nil {
+			continue // the fold failed; the next Open retries it
+		}
+		_ = fsys.Remove(path)
+	}
+	_ = fsys.Remove(dir) // fails, harmlessly, while a record is left
+	return nil
 }
 
 // spillLoad reloads a typed artifact from the spill store; nil on any

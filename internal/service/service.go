@@ -28,7 +28,6 @@ import (
 	"xbarsec/api"
 	"xbarsec/internal/memo"
 	"xbarsec/internal/pool"
-	"xbarsec/internal/provenance"
 	"xbarsec/internal/rng"
 	"xbarsec/internal/tensor"
 	"xbarsec/internal/wal"
@@ -114,7 +113,6 @@ type Service struct {
 	fsys    wal.FS
 	journal *jobJournal
 	spill   *memo.SpillStore
-	prov    *provenance.Store
 
 	// Cluster state, nil when Config.Cluster is unset. See cluster.go.
 	cluster *clusterNode
@@ -314,6 +312,9 @@ func (s *Service) Close() {
 	if s.journal != nil {
 		_ = s.journal.close()
 	}
+	if s.cluster != nil {
+		s.cluster.hc.CloseIdleConnections() // the node's own peer transport
+	}
 }
 
 func (s *Service) isClosed() bool { return s.closed.Load() }
@@ -345,9 +346,7 @@ func (s *Service) Stats() Stats {
 		st.SpilledArtifacts = sp.Artifacts
 		st.SpilledArtifactBytes = sp.Bytes
 		st.SpillHits = sp.Hits
-	}
-	if s.prov != nil {
-		st.ProvenanceRecords = s.prov.Count()
+		st.ProvenanceRecords = sp.Records
 	}
 	if c := s.cluster; c != nil {
 		st.NodeID = c.self.ID
