@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_JSON ?= BENCH_9.json
+BENCH_JSON ?= BENCH_17.json
 COVER_PROFILE ?= cover.out
 FUZZTIME ?= 10s
 
@@ -88,17 +88,19 @@ fmt-check:
 bench:
 	$(GO) test -run XXX -bench 'CrossbarMVM|CrossbarPower|NormExtraction|FGSM' -benchtime 200x .
 
-# Runs the kernel microbenchmarks (many iterations) and the two macro
+# Runs the kernel microbenchmarks (many iterations) and the macro
 # benchmarks the perf trajectory tracks (few iterations — they take
-# seconds each), and records ns/op into $(BENCH_JSON). Commit the result
-# so every PR leaves a BENCH_<n>.json data point. The test runs write to
-# intermediate files so a failing benchmark fails the target instead of
-# being swallowed by the conversion pipe.
+# seconds each), five times each with -benchmem, and records the
+# median ns/op, its min/max and allocs/op into $(BENCH_JSON). Commit the
+# result so every PR leaves a BENCH_<n>.json data point. The test runs
+# write to intermediate files so a failing benchmark fails the target
+# instead of being swallowed by the conversion pipe.
+BENCH_FLAGS = -run XXX -count 5 -benchmem
 bench-json:
-	$(GO) test -run XXX -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$' -benchtime 200x . > /tmp/xbarsec-bench-micro.txt
-	$(GO) test -run XXX -bench 'SurrogateTrain|Table1$$|Table1Fast$$|ServeBatchQPS' -benchtime 3x . > /tmp/xbarsec-bench-macro.txt
-	$(GO) test -run XXX -bench 'VictimStoreColdFig3$$|VictimStoreWarmFig3$$|VictimStoreCrossRunnerCold$$|VictimStoreCrossRunnerWarm$$|RegistryReplayWarm$$|ServiceColdRestart$$' -benchtime 3x . > /tmp/xbarsec-bench-store.txt
-	$(GO) test -run XXX -bench 'GemmSweep' -benchtime 50x . > /tmp/xbarsec-bench-sweep.txt
+	$(GO) test $(BENCH_FLAGS) -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$' -benchtime 200x . > /tmp/xbarsec-bench-micro.txt
+	$(GO) test $(BENCH_FLAGS) -bench 'SurrogateTrain|Table1$$|Table1Fast$$|ServeBatchQPS' -benchtime 3x . > /tmp/xbarsec-bench-macro.txt
+	$(GO) test $(BENCH_FLAGS) -bench 'VictimStoreColdFig3$$|VictimStoreWarmFig3$$|VictimStoreCrossRunnerCold$$|VictimStoreCrossRunnerWarm$$|RegistryReplayWarm$$|ServiceColdRestart$$' -benchtime 3x . > /tmp/xbarsec-bench-store.txt
+	$(GO) test $(BENCH_FLAGS) -bench 'GemmSweep' -benchtime 50x . > /tmp/xbarsec-bench-sweep.txt
 	cat /tmp/xbarsec-bench-micro.txt /tmp/xbarsec-bench-macro.txt /tmp/xbarsec-bench-store.txt /tmp/xbarsec-bench-sweep.txt | $(GO) run ./cmd/benchjson > $(BENCH_JSON)
 	@cat $(BENCH_JSON)
 

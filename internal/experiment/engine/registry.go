@@ -22,6 +22,12 @@ type Experiment struct {
 	// Axes describes the grid's dimensions at the given options
 	// (optional; may return nil).
 	Axes func(opts Options) []Axis
+	// ResultsVersion is bumped by hand whenever a code change moves the
+	// experiment's full-precision result, even where every rendered
+	// golden stays byte-identical. Cached and spilled artifacts are
+	// keyed by it, so a server never serves what an older version
+	// computed. 0 is the unversioned original.
+	ResultsVersion int
 }
 
 var (

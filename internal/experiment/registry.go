@@ -24,6 +24,8 @@ func init() {
 		Axes: func(opts engine.Options) []engine.Axis {
 			return fig5GridFor(Fig5Options{Options: opts}).Experiment().Axes(opts)
 		},
+		// 1: the surrogate's power gradient is summed in factored order.
+		ResultsVersion: 1,
 	})
 	engine.Register(noiseGrid.Experiment())
 	engine.Register(searchGrid.Experiment())

@@ -50,6 +50,12 @@ type SpillStore struct {
 	// by the cache's singleflight.
 	putMu sync.Mutex
 
+	// inv is what each live file added to the artifacts/records/bytes
+	// counters, by address, so quarantine takes out exactly that — not
+	// what it reads from a file that may have changed since.
+	invMu sync.Mutex
+	inv   map[string]counted
+
 	artifacts atomic.Int64 // live artifact files
 	records   atomic.Int64 // of which carry their key and code
 	bytes     atomic.Int64 // their total payload bytes
@@ -76,6 +82,12 @@ const (
 	spillQuarSuffix = ".quarantine"
 )
 
+// counted is one file's share of the inventory counters.
+type counted struct {
+	record bool  // carries its key and code
+	bytes  int64 // payload bytes
+}
+
 // SpillStats is a snapshot of the store's counters for GET /v2/stats.
 type SpillStats struct {
 	// Artifacts and Bytes describe what is on disk now (preexisting
@@ -98,7 +110,7 @@ func OpenSpill(fsys wal.FS, dir string) (*SpillStore, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("memo: creating spill dir %s: %w", dir, err)
 	}
-	s := &SpillStore{fsys: fsys, dir: dir}
+	s := &SpillStore{fsys: fsys, dir: dir, inv: map[string]counted{}}
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("memo: scanning spill dir %s: %w", dir, err)
@@ -127,25 +139,52 @@ func OpenSpill(fsys wal.FS, dir string) (*SpillStore, error) {
 			head = head[:n]
 			f.Close()
 		}
-		s.count(head, info.Size(), 1)
+		s.count(name, sizeOf(head, info.Size()))
 	}
 	return s, nil
 }
 
-// count adds sign × one file, sized from its leading bytes and total
-// size, to the inventory; Open and quarantine share it.
-func (s *SpillStore) count(head []byte, size int64, sign int64) {
-	n := size - sha256.Size
-	if bytes.HasPrefix(head, []byte(spillMagic)) {
-		n = 0
-		if len(head) >= spillHeaderSize {
-			n = size - int64(spillHeaderSize) - int64(binary.BigEndian.Uint32(head[spillLensOff:])) -
-				int64(binary.BigEndian.Uint32(head[spillLensOff+4:]))
-		}
-		s.records.Add(sign)
+// sizeOf sizes one file's inventory share from its leading bytes and
+// total size.
+func sizeOf(head []byte, size int64) counted {
+	if !bytes.HasPrefix(head, []byte(spillMagic)) {
+		return counted{bytes: max(size-sha256.Size, 0)}
 	}
-	s.artifacts.Add(sign)
-	s.bytes.Add(sign * max(n, 0))
+	c := counted{record: true}
+	if len(head) >= spillHeaderSize {
+		c.bytes = max(size-int64(spillHeaderSize)-int64(binary.BigEndian.Uint32(head[spillLensOff:]))-
+			int64(binary.BigEndian.Uint32(head[spillLensOff+4:])), 0)
+	}
+	return c
+}
+
+// count adds the file at addr to the inventory.
+func (s *SpillStore) count(addr string, c counted) {
+	s.invMu.Lock()
+	defer s.invMu.Unlock()
+	s.inv[addr] = c
+	s.artifacts.Add(1)
+	if c.record {
+		s.records.Add(1)
+	}
+	s.bytes.Add(c.bytes)
+}
+
+// uncount takes the file at addr out of the inventory, by exactly what
+// count added for it; a file never counted takes out nothing.
+func (s *SpillStore) uncount(addr string) {
+	s.invMu.Lock()
+	defer s.invMu.Unlock()
+	c, ok := s.inv[addr]
+	if !ok {
+		return
+	}
+	delete(s.inv, addr)
+	s.artifacts.Add(-1)
+	if c.record {
+		s.records.Add(-1)
+	}
+	s.bytes.Add(-c.bytes)
 }
 
 // encodeRecord lays out one record in the current format.
@@ -251,9 +290,7 @@ func (s *SpillStore) Put(key, code string, payload []byte) error {
 		return err
 	}
 	s.puts.Add(1)
-	s.artifacts.Add(1)
-	s.records.Add(1)
-	s.bytes.Add(int64(len(payload)))
+	s.count(Addr(key), counted{record: true, bytes: int64(len(payload))})
 	return nil
 }
 
@@ -279,7 +316,8 @@ func (s *SpillStore) Upgrade(key, code string, check func(payload []byte) error)
 	if err := s.write(path, Record{Key: key, Code: code, Payload: r.Payload}); err != nil {
 		return err
 	}
-	s.records.Add(1)
+	s.uncount(Addr(key))
+	s.count(Addr(key), counted{record: true, bytes: int64(len(r.Payload))})
 	return nil
 }
 
@@ -345,7 +383,7 @@ func (s *SpillStore) getPath(path string) (Record, bool, error) {
 	}
 	r, err := decodeRecord(filepath.Base(path), data)
 	if err != nil {
-		s.quarantine(path, data)
+		s.quarantine(path)
 		return Record{}, false, nil
 	}
 	s.hits.Add(1)
@@ -354,10 +392,10 @@ func (s *SpillStore) getPath(path string) (Record, bool, error) {
 
 // quarantine moves a failed file aside and takes it out of the
 // inventory.
-func (s *SpillStore) quarantine(path string, data []byte) {
+func (s *SpillStore) quarantine(path string) {
 	s.corrupt.Add(1)
 	s.misses.Add(1)
-	s.count(data, int64(len(data)), -1)
+	s.uncount(filepath.Base(path))
 	if err := s.fsys.Rename(path, path+spillQuarSuffix); err != nil {
 		// Renaming aside failed (crashed FS, permissions); removing is the
 		// fallback that still stops the corrupt bytes from being served.

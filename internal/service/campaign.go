@@ -74,15 +74,23 @@ func (c CampaignSpec) validate() error {
 	return nil
 }
 
+// campaignResultsVersion is the campaign job's results version, bumped
+// by hand whenever a code change moves a campaign's full-precision
+// result (see engine.Experiment.ResultsVersion).
+//
+// 1: the surrogate's power gradient is summed in factored order.
+const campaignResultsVersion = 1
+
 // key is the artifact-cache identity: every field that influences the
 // result, nothing that doesn't (worker count deliberately excluded — the
-// result is bit-identical at any). A non-reference tensor backend
-// shifts the numbers within its tolerance bound, so it suffixes the
-// key rather than aliasing the reference artifact.
+// result is bit-identical at any), and the results version. A
+// non-reference tensor backend shifts the numbers within its tolerance
+// bound, so it suffixes the key rather than aliasing the reference
+// artifact.
 func (c CampaignSpec) key() string {
 	return fmt.Sprintf("campaign|%s|%s|%d|%d|%g|%d|%g",
 		c.Victim, c.Mode, c.Seed, c.Queries, c.Lambda, c.SurrogateEpochs, c.AttackEps) +
-		backendKeySuffix()
+		resultsVersionSuffix(campaignResultsVersion) + backendKeySuffix()
 }
 
 // CampaignResult is the deliverable of one campaign job — served

@@ -676,8 +676,9 @@ func TestChaosReplayParentJournal(t *testing.T) {
 	}
 
 	// Registering the victim drains the two unfinished sync jobs into
-	// spill (2 committed + job-3 + campaign + extract), and the finished
-	// campaign is served from its committed artifact.
+	// spill (2 committed + job-3 + campaign + extract). The finished
+	// campaign's committed artifact was computed before the campaign
+	// results version was bumped, so it is recomputed, not served.
 	if err := s.Register(buildTestVictim(t, "m", 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -693,13 +694,138 @@ func TestChaosReplayParentJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !camp.Cached {
-		t.Fatal("finished campaign recomputed instead of served from the committed artifact")
+	if camp.Cached {
+		t.Fatal("finished campaign served from an artifact spilled at an older results version")
 	}
-	c := *camp
-	c.Cached = false
-	if payload, err := json.Marshal(&c); err != nil || !bytes.Equal(payload, committed(spec.withDefaults().key())) {
-		t.Fatalf("campaign served %s (%v), committed artifact differs", payload, err)
+}
+
+// TestChaosResultsVersionBump pins what a results-version bump does to a
+// state dir spilled by the previous version: campaign and fig5
+// artifacts filed under their unversioned (v0) keys are recomputed, not
+// served, and land under the current keys; a campaign launch journaled
+// under its v0 key replays exactly once. So does a launch whose crash
+// fell between its spill and its completion mark, which the replay
+// serves from spill.
+func TestChaosResultsVersionBump(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Seed: 11, Workers: 2, StateDir: dir, JournalFsync: true}
+	spilled := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 3, Queries: 40, Lambda: 0.1}.withDefaults()
+	journaled := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 6, Queries: 40, Lambda: 0.05}.withDefaults()
+	unmarked := CampaignSpec{Victim: "m", Mode: oracle.LabelOnly, Seed: 7, Queries: 40}.withDefaults()
+	fig5 := specDefaults(ExperimentSpec{Name: "fig5", Seed: 31, Scale: 0.01,
+		Options: &api.ExperimentOptions{Fig5: &api.Fig5Options{
+			Queries: []int{5}, Lambdas: []float64{0.01}, SurrogateEpochs: 1,
+		}}})
+	const rv = "|rv:1"
+	v0 := func(key string) string {
+		t.Helper()
+		if !strings.Contains(key, rv) {
+			t.Fatalf("key %q carries no %s", key, rv)
+		}
+		return strings.Replace(key, rv, "", 1)
+	}
+
+	// The v0 state dir: stale artifacts under the v0 keys — deliberately
+	// wrong numbers, so serving one cannot pass for a recompute — and an
+	// unfinished v0 campaign launch.
+	spill, err := memo.OpenSpill(wal.OSFS{}, filepath.Join(dir, "spill"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := map[string]any{
+		v0(spilled.key()): &CampaignResult{Victim: "m", Seed: 3, Queries: 40, AdvAccuracy: -1},
+		v0(specKey(fig5)): &ExperimentResult{Name: "fig5", Seed: 31, Scale: 0.01, Render: "stale", Result: json.RawMessage(`{}`)},
+		unmarked.key():    &CampaignResult{Victim: "m", Seed: 7, Queries: 40},
+	}
+	for key, val := range stale {
+		payload, err := json.Marshal(val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spill.Put(key, codeIdentity(), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := wal.Create(wal.OSFS{}, filepath.Join(dir, "jobs.wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replay is sequential in journal order, so once the v0 launch's
+	// artifact is on disk the unmarked launch has been replayed and
+	// marked.
+	for _, r := range []journalRecord{
+		{Op: opLaunch, ID: unmarked.key(), Campaign: &unmarked},
+		{Op: opLaunch, ID: v0(journaled.key()), Campaign: &journaled},
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, rec, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReplayedCampaigns != 2 || rec.SpilledArtifacts != 3 {
+		t.Fatalf("recovery = %+v, want 2 replayed campaigns and 3 spilled artifacts", rec)
+	}
+	if err := s.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	onDisk := func(key string) bool {
+		_, err := os.Stat(filepath.Join(dir, "spill", memo.Addr(key)))
+		return err == nil
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for !onDisk(journaled.key()) {
+		if time.Now().After(deadline) {
+			t.Fatal("replayed v0 campaign never spilled under its current key")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	ref := newTestService(t, Config{Seed: 11, Workers: 2}, buildTestVictim(t, "m", 5))
+	want, err := ref.RunCampaign(spilled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := s.RunCampaign(spilled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp.Cached || *camp != *want {
+		t.Fatalf("campaign after the bump = %+v, want the recompute %+v", camp, want)
+	}
+	exp, err := s.RunExperiment(fig5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.Cached || exp.Render == "stale" {
+		t.Fatalf("fig5 after the bump served the v0 artifact (cached %v)", exp.Cached)
+	}
+	for _, key := range []string{spilled.key(), specKey(fig5)} {
+		if !onDisk(key) {
+			t.Errorf("recomputed artifact not spilled under %q", key)
+		}
+	}
+	s.Close()
+
+	// Both replayed launches were marked finished: the next restart has
+	// nothing to replay.
+	s2, rec2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec2.ReplayedCampaigns != 0 {
+		t.Fatalf("campaign launches replayed again: %+v", rec2)
 	}
 }
 

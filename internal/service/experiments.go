@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -182,18 +183,31 @@ func validateSpec(e ExperimentSpec) (engine.Experiment, error) {
 
 // specKey is the artifact-cache identity of the normalized spec,
 // including any option grids (two specs with different grids are
-// different experiments) and any non-reference tensor backend (its
+// different experiments), any non-reference tensor backend (its
 // numbers differ from the reference artifact's within the tolerance
-// bound, so they must never alias it in the spill store).
+// bound, so they must never alias it in the spill store) and the
+// experiment's results version.
 func specKey(e ExperimentSpec) string {
 	key := fmt.Sprintf("experiment|%s|%d|%g|%d", e.Name, e.Seed, e.Scale, e.Runs)
 	if f := fig5OptionsOf(e); f != nil {
 		key += fmt.Sprintf("|fig5|%v|%v|%d", f.Queries, f.Lambdas, f.SurrogateEpochs)
 	}
+	exp, _ := engine.Lookup(e.Name)
+	key += resultsVersionSuffix(exp.ResultsVersion)
 	if e.Options != nil && e.Options.TensorBackend != "" {
 		key += "|tb:" + e.Options.TensorBackend
 	}
 	return key
+}
+
+// resultsVersionSuffix folds a results version into a cache/spill key.
+// Version 0 adds nothing, so the keys of families that were never
+// bumped — and the artifacts spilled under them — keep their form.
+func resultsVersionSuffix(v int) string {
+	if v <= 0 {
+		return ""
+	}
+	return "|rv:" + strconv.Itoa(v)
 }
 
 // options resolves the spec into engine options on this service's

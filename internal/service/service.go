@@ -275,11 +275,22 @@ func (s *Service) drainPendingSync(victim string) {
 			// client to report them to. The local variants skip ring
 			// admission: a journaled job is this node's to finish even if
 			// the membership changed across the restart.
+			var err error
 			switch {
 			case rec.Campaign != nil:
-				_, _ = s.runCampaignJob(*rec.Campaign, false)
+				_, err = s.runCampaignJob(*rec.Campaign, false)
 			case rec.Extract != nil:
-				_, _ = s.runExtractJob(*rec.Extract, false)
+				_, err = s.runExtractJob(*rec.Extract, false)
+			}
+			// A run that computes marks its own launch, under the spec's
+			// current key. One served from spill marks nothing, and a
+			// launch journaled under an older key (its family's results
+			// version was bumped since) is not the one the run marked;
+			// mark this launch here, so it replays once rather than at
+			// every restart. A closed or unavailable service leaves it to
+			// the next start.
+			if !errors.Is(err, ErrServiceClosed) && !errors.Is(err, ErrUnavailable) {
+				s.journalFinish(rec.ID, err)
 			}
 		}
 	}()

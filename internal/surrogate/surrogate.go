@@ -129,24 +129,23 @@ func fit(net *nn.Network, qs *oracle.QuerySet, cfg Config, sgd *rng.Source) {
 }
 
 // trainViews is one set of mini-batch workspaces: gathered query inputs u
-// and oracle outputs y, pre-activations s, output-MSE deltas d and, when
-// the power loss is active, the per-sample power-gradient rows cu.
+// and oracle outputs y, pre-activations s and output-MSE deltas d.
 type trainViews struct {
-	rows           int
-	u, y, s, d, cu *tensor.Matrix
+	rows       int
+	u, y, s, d *tensor.Matrix
 }
 
 // trainWorkspace owns the reusable surrogate-training buffers. As in nn,
 // an epoch sees at most two mini-batch sizes, so both view sets alias one
 // allocation and the steady-state step allocates nothing. The power-term
-// buffers (current column 1-norms, the sign matrix of W, the cu rows and
-// one gathered column of d) are only present when the power loss is
+// buffers (current column 1-norms, the per-sample power coefficients and
+// their weighted input sum c) are only present when the power loss is
 // active.
 type trainWorkspace struct {
 	full, rem trainViews
-	colNorms  []float64      // ‖W_:,j‖₁, refreshed per mini-batch
-	sgn       *tensor.Matrix // sign(w_ij), refreshed per mini-batch
-	dcol      []float64      // d[·][i] for the gradient row being built
+	colNorms  []float64 // ‖W_:,j‖₁, refreshed per mini-batch
+	coeff     []float64 // 2λ·(p̂(u_b) − p_b), one per sample
+	c         []float64 // Σ_b coeff_b·u_b
 }
 
 func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
@@ -160,9 +159,6 @@ func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
 		s:    tensor.New(batch, m),
 		d:    tensor.New(batch, m),
 	}
-	if usePower {
-		full.cu = tensor.New(batch, n)
-	}
 	ws := &trainWorkspace{full: full}
 	if rem := total % batch; rem != 0 {
 		ws.rem = trainViews{
@@ -172,14 +168,11 @@ func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
 			s:    full.s.RowSpan(0, rem),
 			d:    full.d.RowSpan(0, rem),
 		}
-		if usePower {
-			ws.rem.cu = full.cu.RowSpan(0, rem)
-		}
 	}
 	if usePower {
 		ws.colNorms = make([]float64, n)
-		ws.sgn = tensor.New(m, n)
-		ws.dcol = make([]float64, batch)
+		ws.coeff = make([]float64, batch)
+		ws.c = make([]float64, n)
 	}
 	return ws
 }
@@ -196,19 +189,21 @@ func (w *trainWorkspace) views(rows int) *trainViews {
 
 // step computes the summed mini-batch gradient of Eq. (9) into grad
 // (overwritten). The forward pass runs as one matrix-matrix product for
-// the whole mini-batch. Without the power term the gradient is a single
-// batch contraction (GemmTA). With it, each sample contributes two
-// updates to every gradient element — the output-MSE term d_b[i]·u_b[j],
-// then the power term sign(w_ij)·coeff_b·u_b[j] — and the per-sample
-// reference loop applied them in exactly that order, sample by sample.
-// step keeps that per-element order but not the loop structure: the
-// per-sample work (coeff_b and the cu_b = coeff_b·u_b rows) is done once
-// per mini-batch, and powerGrad then builds each gradient element in a
-// register over the samples (see there). Multiplying by a ±1 sign and
-// adding (rather than branching on +=/-=) and adding a ±0 term where the
-// old loop skipped are both bit-neutral, so results stay bit-identical
-// to the per-sample reference loop (pinned by
-// TestTrainMatchesPerSampleReference in this package).
+// the whole mini-batch, and the output-MSE gradient Σ_b d_b·u_bᵀ is one
+// batch contraction (GemmTA). The power term needs no second pass over
+// the batch: W's signs are fixed for the mini-batch, so
+//
+//	Σ_b sign(w_ij)·coeff_b·u_b[j] = sign(w_ij)·c_j,  c = Σ_b coeff_b·u_b,
+//
+// with coeff_b = 2λ·(p̂(u_b) − p_b) and ∂p̂/∂w_ij = u_j·sign(w_ij). c is one
+// vector-matrix product, and one sweep adds sign(w_ij)·c_j to every
+// element. Per element that is the factored order: the output-MSE chain
+// over the samples, then one power term. It reassociates the per-sample
+// reference loop's sum, so weights differ from that loop by about an ulp;
+// TestTrainMatchesPerSampleReference pins the factored order bit for bit
+// and the per-sample loop within a tight tolerance.
+//
+//xbar:hotpath
 func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, idxs []int, v *trainViews, grad *tensor.Matrix, usePower bool) {
 	m := net.Outputs()
 	for bi, idx := range idxs {
@@ -224,89 +219,26 @@ func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, 
 			d[i] = 2 * (s[i] - y[i]) / fm
 		}
 	}
+	tensor.GemmTA(grad, v.d, v.u)
 	if !usePower {
-		tensor.GemmTA(grad, v.d, v.u)
 		return
 	}
 	net.W.ColAbsSumsInto(w.colNorms)
-	sgnData, wData := w.sgn.Data(), net.W.Data()
-	for k, wk := range wData {
-		switch {
-		case wk > 0:
-			sgnData[k] = 1
-		case wk < 0:
-			sgnData[k] = -1
-		default:
-			sgnData[k] = 0
-		}
-	}
+	coeff := w.coeff[:v.rows]
 	for bi, idx := range idxs {
-		// Power term: e = p̂(u) - p, p̂(u) = Σ_j u_j ‖W_:,j‖₁;
-		// ∂p̂/∂w_ij = u_j·sign(w_ij).
-		u, cu := v.u.Row(bi), v.cu.Row(bi)
-		e := tensor.Dot(u, w.colNorms) - qs.P[idx]
-		coeff := cfg.Lambda * 2 * e
-		for j, uj := range u {
-			cu[j] = coeff * uj
-		}
+		// Power term: e = p̂(u) - p, p̂(u) = Σ_j u_j ‖W_:,j‖₁.
+		e := tensor.Dot(v.u.Row(bi), w.colNorms) - qs.P[idx]
+		coeff[bi] = cfg.Lambda * 2 * e
 	}
-	powerGrad(grad, w.sgn, v, w.dcol[:v.rows])
-}
-
-// powerGrad writes the summed mini-batch gradient with the power term
-// into grad: for every element, over the samples b in order,
-//
-//	g += d_b[i]·u_b[j]   (skipped when d_b[i] == 0)
-//	g += sgn_ij·cu_b[j]
-//
-// starting from +0 — the per-sample reference loop's exact sequence of
-// IEEE operations for that element, so the result is bit-identical to
-// it. The loop is register-blocked instead: four adjacent elements of a
-// gradient row accumulate in registers across the whole mini-batch and
-// are stored once, where the reference made two read-modify-write passes
-// over the whole gradient per sample. dcol holds column i of v.d while
-// row i is built.
-//
-//xbar:hotpath
-func powerGrad(grad, sgn *tensor.Matrix, v *trainViews, dcol []float64) {
-	n := grad.Cols()
-	uData, cuData := v.u.Data(), v.cu.Data()
-	for i := 0; i < grad.Rows(); i++ {
-		for b := range dcol {
-			dcol[b] = v.d.At(b, i)
-		}
-		srow, grow := sgn.Row(i), grad.Row(i)
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := srow[j], srow[j+1], srow[j+2], srow[j+3]
-			var g0, g1, g2, g3 float64
-			for b, db := range dcol {
-				o := b*n + j
-				if db != 0 {
-					u := uData[o : o+4 : o+4]
-					g0 += db * u[0]
-					g1 += db * u[1]
-					g2 += db * u[2]
-					g3 += db * u[3]
-				}
-				cu := cuData[o : o+4 : o+4]
-				g0 += s0 * cu[0]
-				g1 += s1 * cu[1]
-				g2 += s2 * cu[2]
-				g3 += s3 * cu[3]
+	tensor.VecMatInto(w.c, coeff, v.u)
+	for i := 0; i < m; i++ {
+		wrow, grow := net.W.Row(i), grad.Row(i)
+		for j, cj := range w.c {
+			// sign(w_ij)·c_j without a data-dependent branch: a zero
+			// weight (of either sign) adds nothing, as sign 0 would.
+			if wj := wrow[j]; wj != 0 {
+				grow[j] += math.Copysign(1, wj) * cj
 			}
-			grow[j], grow[j+1], grow[j+2], grow[j+3] = g0, g1, g2, g3
-		}
-		for ; j < n; j++ {
-			sj := srow[j]
-			var g float64
-			for b, db := range dcol {
-				if db != 0 {
-					g += db * uData[b*n+j]
-				}
-				g += sj * cuData[b*n+j]
-			}
-			grow[j] = g
 		}
 	}
 }
